@@ -4,14 +4,9 @@ Design notes
 ------------
 * Events are totally ordered by ``(time, seq)``, which gives deterministic
   FIFO ordering for simultaneous events — essential for reproducibility of
-  the experiment protocol (17 seeded repetitions, trim, average).  Two
-  interchangeable schedulers realize that order: the default binary heap,
-  and a calendar queue (``REPRO_SCHED=calendar``, read at construction
-  time like the recycling switches) that beats the heap at high pending
-  densities by replacing O(log n) Python-level ``__lt__`` calls with O(1)
-  bucket arithmetic — see :mod:`repro.sim.calqueue` and DESIGN.md §9.
-  Because both structures pop the exact same total order, every committed
-  golden fingerprint is bit-identical under either.
+  the experiment protocol (17 seeded repetitions, trim, average).  One
+  binary heap realizes that order; DESIGN.md §9 records why no second
+  scheduler is kept beside it.
 * Events are *cancellable*: :meth:`Simulator.schedule` returns an
   :class:`EventHandle`; cancelled handles stay in the heap and are skipped
   on pop (the standard "lazy deletion" trick).  Re-scheduling a container's
@@ -39,7 +34,6 @@ import math
 import sys
 from typing import Any, Callable, Optional
 
-from repro.sim.calqueue import CalendarQueue, sched_mode
 from repro.sim.recycle import pool_enabled
 
 __all__ = ["EventHandle", "Simulator", "SimulationError"]
@@ -114,7 +108,6 @@ class Simulator:
     __slots__ = (
         "_now",
         "_heap",
-        "_cal",
         "_seq",
         "_running",
         "_fired_count",
@@ -131,12 +124,6 @@ class Simulator:
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._heap: list[EventHandle] = []
-        # Scheduler selection (``REPRO_SCHED``), frozen at construction:
-        # ``None`` keeps the binary heap above, a CalendarQueue replaces
-        # it wholesale (the heap list then stays empty forever).
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if sched_mode() == "calendar" else None
-        )
         self._seq = 0
         self._running = False
         self._fired_count = 0
@@ -169,13 +156,7 @@ class Simulator:
     @property
     def events_pending(self) -> int:
         """Number of pending entries, *including* lazily-cancelled ones."""
-        cal = self._cal
-        return len(self._heap) if cal is None else len(cal)
-
-    @property
-    def scheduler(self) -> str:
-        """Active scheduler: ``"heap"`` or ``"calendar"``."""
-        return "heap" if self._cal is None else "calendar"
+        return len(self._heap)
 
     @property
     def handles_recycled(self) -> int:
@@ -192,7 +173,7 @@ class Simulator:
         """Number of *live* (not lazily-cancelled) pending events.
 
         Exact: ``_cancelled_pending`` counts every cancelled entry still
-        sitting in the scheduler.  The validation layer uses this to
+        sitting in the heap.  The validation layer uses this to
         decide whether a run has fully drained (no in-flight work
         remains).
         """
@@ -204,36 +185,23 @@ class Simulator:
         The sharded tier's conservative-sync barrier (DESIGN.md §12)
         needs each shard's local horizon between ``run(until=...)``
         windows.  Lazily-cancelled heads are dropped here exactly as the
-        run loops would drop them — with the same bookkeeping and
+        run loop would drop them — with the same bookkeeping and
         handle-recycling — so peeking never perturbs the counters a
         later run would have produced.
         """
         free = self._free
         getrefcount = sys.getrefcount
-        cal = self._cal
-        if cal is None:
-            heap = self._heap
-            while heap:
-                head = heap[0]
-                if head.fn is not None:
-                    return head.time
-                heapq.heappop(heap)
-                if head.cancelled:
-                    self._cancelled_pending -= 1
-                    if free is not None and getrefcount(head) == 2:
-                        free.append(head)
-            return math.inf
-        while True:
-            head = cal.pop()
-            if head is None:
-                return math.inf
+        heap = self._heap
+        while heap:
+            head = heap[0]
             if head.fn is not None:
-                cal.push(head)  # O(1) re-insert, same trick as _run_calendar
                 return head.time
+            heapq.heappop(heap)
             if head.cancelled:
                 self._cancelled_pending -= 1
                 if free is not None and getrefcount(head) == 2:
                     free.append(head)
+        return math.inf
 
     # ------------------------------------------------------------- scheduling
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -266,30 +234,19 @@ class Simulator:
             handle = EventHandle(time, self._seq, fn, args)
             handle.owner = self
         self._seq += 1
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._heap, handle)
-        else:
-            cal.push(handle)
+        heapq.heappush(self._heap, handle)
         return handle
 
     def _note_cancel(self) -> None:
         """Bookkeeping hook called by :meth:`EventHandle.cancel`.
 
         Once lazily-cancelled entries both exceed a fixed floor and make
-        up over half the pending set, rebuild the scheduler without them:
-        the container rescheduling pattern can otherwise leave it
-        dominated by dead entries.  Both schedulers use the identical
-        trigger, so compaction fires at the same points in a run.
+        up over half the pending set, rebuild the heap without them: the
+        container rescheduling pattern can otherwise leave it dominated
+        by dead entries.
         """
         self._cancelled_pending += 1
         if self._cancelled_pending < self._COMPACT_MIN:
-            return
-        cal = self._cal
-        if cal is not None:
-            if self._cancelled_pending * 2 > len(cal):
-                cal.compact()
-                self._cancelled_pending = 0
             return
         heap = self._heap
         if self._cancelled_pending * 2 > len(heap):
@@ -303,17 +260,9 @@ class Simulator:
         """Execute the next pending event.  Returns ``False`` if none remain."""
         free = self._free
         getrefcount = sys.getrefcount
-        cal = self._cal
         heap = self._heap
-        while True:
-            if cal is None:
-                if not heap:
-                    return False
-                handle = heapq.heappop(heap)
-            else:
-                handle = cal.pop()
-                if handle is None:
-                    return False
+        while heap:
+            handle = heapq.heappop(heap)
             if handle.fn is None:  # fired is impossible here; this means cancelled
                 if handle.cancelled:
                     self._cancelled_pending -= 1
@@ -335,6 +284,7 @@ class Simulator:
             if free is not None and getrefcount(handle) == 2:
                 free.append(handle)
             return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
@@ -343,21 +293,13 @@ class Simulator:
         return (even if the last event fired earlier), so back-to-back
         ``run(until=...)`` calls behave like a continuous timeline.
 
-        This is the hot loop of every simulation: each scheduler gets its
-        own inlined loop (rather than delegating to :meth:`step`) so a
-        fired event costs one dequeue plus the handler call.
+        This is the hot loop of every simulation: it is inlined (rather
+        than delegating to :meth:`step`) so a fired event costs one heap
+        pop plus the handler call.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        if self._cal is not None:
-            self._run_calendar(until, max_events)
-        else:
-            self._run_heap(until, max_events)
-        if until is not None and self._now < until:
-            self._now = until
-
-    def _run_heap(self, until: Optional[float], max_events: Optional[int]) -> None:
         budget = math.inf if max_events is None else max_events
         heap = self._heap
         heappop = heapq.heappop
@@ -393,56 +335,20 @@ class Simulator:
                     free.append(head)
         finally:
             self._running = False
-
-    def _run_calendar(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Calendar-queue twin of :meth:`_run_heap`.
-
-        The calendar queue has no O(1) peek, so the ``until`` boundary is
-        handled by re-inserting the one head that overshoots it — an O(1)
-        append back into the bucket it came from.  The sequence of
-        *dispatched* events (and of dropped lazily-cancelled entries,
-        which both loops discard strictly in pop order up to the first
-        live head past ``until``) is identical to the heap loop's, which
-        keeps ``events_pending`` and the recycling counters bit-identical
-        between schedulers at every observable point.
-        """
-        budget = math.inf if max_events is None else max_events
-        cal = self._cal
-        pop = cal.pop
-        free = self._free
-        getrefcount = sys.getrefcount
-        try:
-            while budget > 0:
-                head = pop()
-                if head is None:
-                    break
-                if head.fn is None:  # lazily-cancelled entry: drop and rescan
-                    if head.cancelled:
-                        self._cancelled_pending -= 1
-                        if free is not None and getrefcount(head) == 2:
-                            free.append(head)
-                    continue
-                if until is not None and head.time > until:
-                    cal.push(head)
-                    break
-                self._now = head.time
-                fn, args = head.fn, head.args
-                head.fn = None  # mark fired
-                head.args = ()  # unconditional: see step()
-                head.owner = None
-                if self.trace_hook is not None:
-                    self.trace_hook(self._now, fn, args)
-                self._fired_count += 1
-                fn(*args)
-                budget -= 1
-                if free is not None and getrefcount(head) == 2:
-                    free.append(head)
-        finally:
-            self._running = False
+        if until is not None and self._now < until:
+            self._now = until
 
     def drain(self) -> None:
-        """Discard all pending events without running them."""
+        """Discard all pending events without running them.
+
+        Every dropped handle is marked dead (``fn``/``args``/``owner``
+        cleared, exactly as after firing), so a handle someone kept reads
+        ``active == False`` and a later ``cancel()`` on it is a no-op
+        instead of counting an entry that is no longer in the heap.
+        """
+        for handle in self._heap:
+            handle.fn = None
+            handle.args = ()
+            handle.owner = None
         self._heap.clear()
-        if self._cal is not None:
-            self._cal.clear()
         self._cancelled_pending = 0

@@ -88,15 +88,6 @@ class TestCancellation:
         sim.run()
         assert h.args == ()
 
-    def test_fired_handle_releases_args_under_calendar(self, monkeypatch):
-        from repro.sim.engine import Simulator
-
-        monkeypatch.setenv("REPRO_SCHED", "calendar")
-        sim = Simulator()
-        h = sim.schedule(1.0, lambda _: None, ["payload"])
-        sim.run()
-        assert h.args == ()
-
     def test_active_property(self, sim):
         h = sim.schedule(1.0, lambda: None)
         assert h.active
@@ -172,6 +163,23 @@ class TestRun:
         sim.drain()
         sim.run()
         assert fired == []
+
+    def test_drain_kills_retained_handles(self, sim):
+        # A handle kept past drain() must read as dead, and cancelling it
+        # must not count an entry that is no longer in the heap.
+        payload = ["kept", "alive"]
+        handles = [sim.schedule(1.0 + i, lambda _: None, payload) for i in range(600)]
+        handles[0].cancel()
+        sim.drain()
+        assert sim.events_pending == 0
+        assert sim.live_events_pending == 0
+        assert not any(h.active for h in handles)
+        assert all(h.args == () for h in handles)
+        for h in handles:
+            h.cancel()
+        assert sim.live_events_pending == 0
+        sim.schedule(1.0, lambda: None)
+        assert sim.live_events_pending == 1
 
     def test_events_fired_counter(self, sim):
         for i in range(5):

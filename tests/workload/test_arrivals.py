@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.workload.arrivals import RateSchedule, Spike
@@ -115,58 +114,6 @@ class TestAdvance:
         t0, t1 = 0.0, 20.0
         total_units = s.mean_rate(t0, t1) * (t1 - t0)
         assert s.advance(t0, total_units) == pytest.approx(t1)
-
-
-class TestAdvanceBatch:
-    """Vectorized inversion must be bit-identical to folding `advance`."""
-
-    def _fold(self, sched, t0, units):
-        out, cur = [], t0
-        for u in units:
-            cur = math.inf if cur == math.inf else sched.advance(cur, float(u))
-            out.append(cur)
-        return np.asarray(out)
-
-    def test_constant_rate_bit_identical(self):
-        sched = RateSchedule(250.0)
-        units = np.random.default_rng(0).exponential(1.0, size=500)
-        got = sched.advance_batch(3.0, units)
-        assert np.array_equal(got, self._fold(sched, 3.0, units))
-
-    def test_spiky_schedule_bit_identical(self):
-        # Boundary crossings delegate to the scalar path, so mid-spike
-        # and spike-edge arrivals must still match exactly.
-        sched = RateSchedule(
-            100.0, [Spike(0.5, 1.0, 400.0), Spike(2.0, 2.5, 0.0)]
-        )
-        units = np.random.default_rng(1).exponential(1.0, size=800)
-        got = sched.advance_batch(0.0, units)
-        assert np.array_equal(got, self._fold(sched, 0.0, units))
-
-    def test_exhausted_schedule_pins_tail_at_inf(self):
-        sched = RateSchedule(0.0, [Spike(0.0, 1.0, 10.0)])
-        got = sched.advance_batch(0.0, np.array([5.0, 5.0, 5.0, 2.0]))
-        # The spike's integral is exactly 10 units: the second arrival
-        # lands on its trailing edge, everything after is unreachable.
-        assert got.tolist()[:2] == [0.5, 1.0]
-        assert math.isinf(got[2]) and math.isinf(got[3])
-
-    def test_empty_batch(self):
-        got = RateSchedule(10.0).advance_batch(0.0, np.array([]))
-        assert got.shape == (0,)
-
-    def test_zero_units_stay_at_cursor(self):
-        sched = RateSchedule(10.0)
-        got = sched.advance_batch(1.0, np.array([0.0, 1.0, 0.0]))
-        assert got.tolist() == [1.0, 1.1, 1.1]
-
-    def test_rejects_negative_units(self):
-        with pytest.raises(ValueError):
-            RateSchedule(10.0).advance_batch(0.0, np.array([1.0, -2.0]))
-
-    def test_rejects_non_1d(self):
-        with pytest.raises(ValueError):
-            RateSchedule(10.0).advance_batch(0.0, np.ones((2, 2)))
 
 
 class TestMeanRate:
