@@ -3,9 +3,10 @@
 The repetition protocol (``repro.analysis.aggregate.run_cell``) runs the
 same cell at seeds ``seed .. seed+reps−1``; every rep is an independent,
 deterministically seeded discrete-event simulation, so the work is
-embarrassingly parallel.  This module dispatches reps to a
-:class:`concurrent.futures.ProcessPoolExecutor` while preserving the
-serial protocol **bit for bit**:
+embarrassingly parallel.  Each rep is one event loop in one process,
+so ``jobs`` reps in flight occupy at most ``jobs`` CPUs.  This module
+dispatches reps to a :class:`concurrent.futures.ProcessPoolExecutor`
+while preserving the serial protocol **bit for bit**:
 
 * the per-(workload, topology) profiling pass is executed **once in the
   parent** and the resulting :class:`TargetConfig` is shipped to every
@@ -26,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
@@ -96,25 +96,6 @@ def run_reps(
         raise ValueError(f"got {len(seeds)} seeds for {reps} reps")
     if targets is None:
         targets = profile_targets(cfg)
-
-    # Sharded reps multiply: each rep spawns `shards` worker processes of
-    # its own, so `jobs` reps in flight occupy jobs × shards CPUs.  Clamp
-    # to the container's cores rather than thrash every simulation.
-    from repro.exec.sharded import resolve_shards
-
-    shards = resolve_shards(cfg) or 1
-    if shards > 1:
-        cpus = cpu_jobs()
-        if jobs * shards > cpus:
-            capped = max(1, cpus // shards)
-            if capped < jobs:
-                warnings.warn(
-                    f"jobs={jobs} x shards={shards} oversubscribes "
-                    f"{cpus} CPUs; capping jobs at {capped}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                jobs = capped
 
     if jobs == 1 or reps == 1:
         return [_rep_worker((cfg, targets, s)) for s in seeds]

@@ -182,12 +182,12 @@ class Simulator:
     def next_event_time(self) -> float:
         """Time of the earliest *live* pending event, or ``math.inf``.
 
-        The sharded tier's conservative-sync barrier (DESIGN.md §12)
-        needs each shard's local horizon between ``run(until=...)``
-        windows.  Lazily-cancelled heads are dropped here exactly as the
-        run loop would drop them — with the same bookkeeping and
-        handle-recycling — so peeking never perturbs the counters a
-        later run would have produced.
+        A caller that drives the loop itself with :meth:`step` peeks
+        here to stop at an ``until`` horizon the way :meth:`run` does.
+        Lazily-cancelled heads are dropped here exactly as the run loop
+        would drop them — with the same bookkeeping and handle-recycling
+        — so peeking never perturbs the counters a later run would have
+        produced.
         """
         free = self._free
         getrefcount = sys.getrefcount

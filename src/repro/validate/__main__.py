@@ -2,7 +2,8 @@
 
 Runs the differential scenario matrix with all invariant monitors armed
 and compares fingerprints against the committed goldens.  Exit status 0
-only when every invariant holds and every fingerprint matches.
+only when every invariant holds and every fingerprint matches; filters
+that select no cell at all are an error (exit 2), never a vacuous pass.
 """
 
 from __future__ import annotations
@@ -19,21 +20,31 @@ from repro.validate.scenarios import (
     FAULT_SCENARIOS,
     HORIZONTAL_CONTROLLERS,
     HORIZONTAL_SCENARIOS,
+    MULTINODE_CONTROLLERS,
+    MULTINODE_SCENARIOS,
     SCENARIOS,
-    SHARDED_CONTROLLERS,
-    SHARDED_SCENARIOS,
     WORKLOADS,
     ZOO_CONTROLLERS,
     ZOO_SCENARIOS,
     fault_matrix,
     horizontal_matrix,
+    multinode_matrix,
     scenario_matrix,
-    sharded_matrix,
     zoo_matrix,
 )
 
+#: ``--family`` name -> (matrix builder, its controllers, its scenarios),
+#: in matrix order.
+_FAMILY_TABLE = {
+    "base": (scenario_matrix, CONTROLLERS, SCENARIOS),
+    "faults": (fault_matrix, FAULT_CONTROLLERS, FAULT_SCENARIOS),
+    "horizontal": (horizontal_matrix, HORIZONTAL_CONTROLLERS, HORIZONTAL_SCENARIOS),
+    "zoo": (zoo_matrix, ZOO_CONTROLLERS, ZOO_SCENARIOS),
+    "multinode": (multinode_matrix, MULTINODE_CONTROLLERS, MULTINODE_SCENARIOS),
+}
+
 #: Cell-family names accepted by ``--family`` (in matrix order).
-FAMILIES = ("base", "faults", "horizontal", "zoo", "sharded")
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
@@ -61,19 +72,14 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
                 + FAULT_SCENARIOS
                 + HORIZONTAL_SCENARIOS
                 + ZOO_SCENARIOS
-                + SHARDED_SCENARIOS
+                + MULTINODE_SCENARIOS
             )
         ),
         help="restrict to a traffic shape or fault scenario (repeatable)",
     )
     parser.add_argument(
         "--family", action="append", choices=FAMILIES,
-        help=(
-            "restrict to a cell family (repeatable); e.g. the "
-            "REPRO_SHARDS=2 CI leg runs only '--family sharded' because "
-            "the other families use replicas, faults, or non-shardable "
-            "controllers"
-        ),
+        help="restrict to a cell family (repeatable)",
     )
     parser.add_argument(
         "--update-golden", action="store_true",
@@ -88,52 +94,45 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     )
     args = parser.parse_args(list(argv) if argv is not None else None)
 
-    # The four families share the filter flags: each family keeps the
+    # The families share the filter flags: each family keeps the
     # controller / scenario names it recognises (a fault-only filter
     # yields no base cells and vice versa), and fault cells exist only
     # for the chain workload and its controller subset.
-    base_shapes = fault_shapes = hpa_shapes = zoo_shapes = sharded_shapes = None
-    if args.scenario is not None:
-        base_shapes = [s for s in args.scenario if s in SCENARIOS]
-        fault_shapes = [s for s in args.scenario if s in FAULT_SCENARIOS]
-        hpa_shapes = [s for s in args.scenario if s in HORIZONTAL_SCENARIOS]
-        zoo_shapes = [s for s in args.scenario if s in ZOO_SCENARIOS]
-        sharded_shapes = [s for s in args.scenario if s in SHARDED_SCENARIOS]
-    base_ctrls = fault_ctrls = hpa_ctrls = zoo_ctrls = sharded_ctrls = None
-    if args.controller is not None:
-        base_ctrls = [c for c in args.controller if c in CONTROLLERS]
-        fault_ctrls = [c for c in args.controller if c in FAULT_CONTROLLERS]
-        hpa_ctrls = [c for c in args.controller if c in HORIZONTAL_CONTROLLERS]
-        zoo_ctrls = [c for c in args.controller if c in ZOO_CONTROLLERS]
-        sharded_ctrls = [c for c in args.controller if c in SHARDED_CONTROLLERS]
-    families = FAMILIES if args.family is None else tuple(args.family)
+    families = FAMILIES if args.family is None else args.family
     cells = []
-    if "base" in families:
-        cells += scenario_matrix(
-            workloads=args.workload,
-            controllers=base_ctrls,
-            scenarios=base_shapes,
-        )
-    if "faults" in families and (args.workload is None or "chain" in args.workload):
-        cells += fault_matrix(controllers=fault_ctrls, scenarios=fault_shapes)
-    if "horizontal" in families:
-        cells += horizontal_matrix(
-            workloads=args.workload,
-            controllers=hpa_ctrls,
-            scenarios=hpa_shapes,
-        )
-    if "zoo" in families:
-        cells += zoo_matrix(
-            workloads=args.workload,
-            controllers=zoo_ctrls,
-            scenarios=zoo_shapes,
-        )
-    if "sharded" in families:
-        cells += sharded_matrix(
-            workloads=args.workload,
-            controllers=sharded_ctrls,
-            scenarios=sharded_shapes,
-        )
+    empty = []  # why each selected family contributed no cell
+    for family, (build, known_ctrls, known_shapes) in _FAMILY_TABLE.items():
+        if family not in families:
+            continue
+        ctrls = shapes = None
+        if args.controller is not None:
+            ctrls = [c for c in args.controller if c in known_ctrls]
+        if args.scenario is not None:
+            shapes = [s for s in args.scenario if s in known_shapes]
+        if family == "faults":
+            if args.workload is not None and "chain" not in args.workload:
+                empty.append("faults: cells exist only for --workload chain")
+                continue
+            got = build(controllers=ctrls, scenarios=shapes)
+        else:
+            got = build(workloads=args.workload, controllers=ctrls, scenarios=shapes)
+        if not got:
+            why = []
+            if ctrls == []:
+                why.append(
+                    f"--controller {args.controller} names none of {list(known_ctrls)}"
+                )
+            if shapes == []:
+                why.append(
+                    f"--scenario {args.scenario} names none of {list(known_shapes)}"
+                )
+            empty.append(f"{family}: " + "; ".join(why))
+        cells += got
+    if not cells:
+        print("no matrix cell matches the filters:", file=sys.stderr)
+        for reason in empty:
+            print(f"  {reason}", file=sys.stderr)
+        return 2
     if args.list:
         for cell in cells:
             print(cell.key)

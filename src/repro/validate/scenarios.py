@@ -11,6 +11,12 @@ under three traffic shapes:
   :meth:`repro.cluster.network.Network.add_latency_surge` via the
   harness's ``latency_surges`` config.
 
+Four more families ride along, each from its own ``*_matrix`` builder:
+``faults`` (fault plans with RPC resilience), ``horizontal`` (replicas
+behind the load balancer), ``zoo`` (the plugin controllers) and
+``multinode`` (4 nodes without replicas, on a jitter-free fabric).
+Every cell is one event loop in one process.
+
 Durations are deliberately small (a cell runs in seconds) — this matrix
 is a *differential* net, not a performance study: with monitors armed it
 must produce zero invariant violations and fingerprints bit-identical to
@@ -39,17 +45,17 @@ __all__ = [
     "FAULT_SCENARIOS",
     "HORIZONTAL_CONTROLLERS",
     "HORIZONTAL_SCENARIOS",
+    "MULTINODE_CONTROLLERS",
+    "MULTINODE_SCENARIOS",
     "SCENARIOS",
-    "SHARDED_CONTROLLERS",
-    "SHARDED_SCENARIOS",
     "WORKLOADS",
     "ZOO_CONTROLLERS",
     "ZOO_SCENARIOS",
     "Scenario",
     "fault_matrix",
     "horizontal_matrix",
+    "multinode_matrix",
     "scenario_matrix",
-    "sharded_matrix",
     "zoo_matrix",
 ]
 
@@ -349,21 +355,17 @@ def zoo_matrix(
     return cells
 
 
-#: Sharded-family controllers: only shardable ones are eligible
-#: (``Controller.shardable`` — strictly per-node state).
-SHARDED_CONTROLLERS: Tuple[str, ...] = ("null", "surgeguard")
+#: Multinode-family controllers: the two strictly per-node ones.
+MULTINODE_CONTROLLERS: Tuple[str, ...] = ("null", "surgeguard")
 
-#: Sharded-family scenarios (distinct names — the keys must not collide
+#: Multinode-family scenarios (distinct names — the keys must not collide
 #: with the base matrix's ``family/controller/steady`` cells).
-SHARDED_SCENARIOS: Tuple[str, ...] = ("sharded-steady", "sharded-spike")
+MULTINODE_SCENARIOS: Tuple[str, ...] = ("multinode-steady", "multinode-spike")
 
 
-def _sharded_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
-    # jitter=0 makes the dynamics an exact invariant of the shard count
-    # (the only serial/sharded divergence is jitter-draw interleaving),
-    # so one committed golden pins serial, shards=1, and shards=2 alike.
-    # ``shards`` stays None: the REPRO_SHARDS environment (the CI matrix
-    # legs) decides how each cell actually executes.
+def _multinode_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
+    # jitter=0 is what these cells' committed fingerprints were recorded
+    # under; turning jitter on would change every one of them.
     cfg = ExperimentConfig(
         workload=workload_key,
         controller_factory=spec(controller),
@@ -372,24 +374,25 @@ def _sharded_cell_config(workload_key: str, controller: str, scenario: str) -> E
         network=NetworkConfig(jitter=0.0),
         **_BASE,
     )
-    if scenario == "sharded-steady":
+    if scenario == "multinode-steady":
         return cfg
-    if scenario == "sharded-spike":
+    if scenario == "multinode-spike":
         return replace(cfg, **_SPIKE)
-    raise ValueError(f"unknown sharded scenario {scenario!r}")
+    raise ValueError(f"unknown multinode scenario {scenario!r}")
 
 
-def sharded_matrix(
+def multinode_matrix(
     *,
     workloads: Optional[List[str]] = None,
     controllers: Optional[List[str]] = None,
     scenarios: Optional[List[str]] = None,
 ) -> List[Scenario]:
-    """The shard-invariance cells: every workload family × {null,
-    surgeguard} × {steady, spike} on a 4-node, jitter-free fabric."""
+    """The multi-node cells: every workload family × {null, surgeguard}
+    × {steady, spike} on a 4-node, jitter-free fabric, with no replicas
+    (the only such cells in the matrix)."""
     families = list(WORKLOADS) if workloads is None else workloads
-    ctrls = list(SHARDED_CONTROLLERS) if controllers is None else controllers
-    shapes = list(SHARDED_SCENARIOS) if scenarios is None else scenarios
+    ctrls = list(MULTINODE_CONTROLLERS) if controllers is None else controllers
+    shapes = list(MULTINODE_SCENARIOS) if scenarios is None else scenarios
     cells = []
     for family in families:
         try:
@@ -399,16 +402,16 @@ def sharded_matrix(
                 f"unknown workload family {family!r}; known: {sorted(WORKLOADS)}"
             ) from None
         for controller in ctrls:
-            if controller not in SHARDED_CONTROLLERS:
+            if controller not in MULTINODE_CONTROLLERS:
                 raise KeyError(
-                    f"unknown sharded controller {controller!r}; "
-                    f"known: {list(SHARDED_CONTROLLERS)}"
+                    f"unknown multinode controller {controller!r}; "
+                    f"known: {list(MULTINODE_CONTROLLERS)}"
                 )
             for scenario in shapes:
-                if scenario not in SHARDED_SCENARIOS:
+                if scenario not in MULTINODE_SCENARIOS:
                     raise KeyError(
-                        f"unknown sharded scenario {scenario!r}; "
-                        f"known: {list(SHARDED_SCENARIOS)}"
+                        f"unknown multinode scenario {scenario!r}; "
+                        f"known: {list(MULTINODE_SCENARIOS)}"
                     )
                 cells.append(
                     Scenario(
@@ -416,7 +419,7 @@ def sharded_matrix(
                         workload_key=workload_key,
                         controller=controller,
                         scenario=scenario,
-                        config=_sharded_cell_config(workload_key, controller, scenario),
+                        config=_multinode_cell_config(workload_key, controller, scenario),
                     )
                 )
     return cells

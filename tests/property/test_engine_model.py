@@ -5,10 +5,13 @@ pops the smallest.  That is the engine's whole contract; everything the
 heap adds (lazy cancellation, compaction, handle recycling) is
 bookkeeping that must stay invisible.  Random programs of schedule,
 cancel, respawn-from-callback, partial ``run`` / ``run(until=...)``,
-``step`` and ``drain`` run on both, and after every op the fire log,
-the clock and ``live_events_pending`` must agree exactly.  Since
-``events_pending`` counts live plus lazily-cancelled entries, an exact
-live count also pins the engine's cancelled-entry ledger.
+``step``, ``drain`` and ``peek`` (``next_event_time``) run on both, and
+after every op the fire log, the clock and ``live_events_pending`` must
+agree exactly.  Since ``events_pending`` counts live plus
+lazily-cancelled entries, an exact live count also pins the engine's
+cancelled-entry ledger.  A peek must return the earliest live time (or
+``math.inf``) and be read-only: the same program with its peeks removed
+fires the same events and leaves the same per-op trace.
 """
 
 import bisect
@@ -70,6 +73,9 @@ class _ModelSim:
     def drain(self):
         self.live.clear()
 
+    def next_event_time(self):
+        return self.live[0][0] if self.live else math.inf
+
 
 # Quantized delays force timestamp ties (FIFO pops by seq); the
 # continuous range exercises arbitrary orderings.
@@ -86,16 +92,20 @@ _ops = st.lists(
         st.tuples(st.just("until"), _delays, st.just(0)),
         st.tuples(st.just("step"), st.just(0), st.just(0)),
         st.tuples(st.just("drain"), st.just(0), st.just(0)),
+        st.tuples(st.just("peek"), st.just(0), st.just(0)),
     ),
     max_size=60,
 )
 
 
 def _execute(ops, sim):
-    """Run one op program; return the fire log and the per-op trace."""
+    """Run one op program; return the fire log, the per-op trace and
+    the peeked times.  A peek adds no trace row, so a program and its
+    peek-free copy yield comparable traces."""
     log = []
     handles = []
     trace = []
+    peeks = []
 
     def make_cb(tag, respawn, delay):
         def cb():
@@ -120,20 +130,29 @@ def _execute(ops, sim):
             sim.run(until=sim.now + a)
         elif kind == "step":
             sim.step()
+        elif kind == "peek":
+            peeks.append(sim.next_event_time())
+            continue
         else:
             sim.drain()
         trace.append((sim.now, sim.live_events_pending))
     sim.run()
     trace.append((sim.now, sim.live_events_pending))
-    return log, trace
+    return log, trace, peeks
 
 
 @given(_ops)
 @settings(max_examples=200, deadline=None)
 def test_heap_simulator_matches_reference_model(ops):
     sim = Simulator()
-    got_log, got_trace = _execute(ops, sim)
-    want_log, want_trace = _execute(ops, _ModelSim())
+    got_log, got_trace, got_peeks = _execute(ops, sim)
+    want_log, want_trace, want_peeks = _execute(ops, _ModelSim())
     assert got_log == want_log
     assert got_trace == want_trace
+    assert got_peeks == want_peeks
     assert sim.events_pending == 0
+    unpeeked_log, unpeeked_trace, _ = _execute(
+        [op for op in ops if op[0] != "peek"], Simulator()
+    )
+    assert unpeeked_log == got_log
+    assert unpeeked_trace == got_trace
