@@ -1,12 +1,9 @@
-"""Parallel experiment execution: controller specs, process-pool fan-out,
-and the machine-tracked performance benchmark.
+"""Parallel experiment execution: controller specs and process-pool fan-out.
 
 * :mod:`repro.exec.specs` — named, picklable controller recipes that
   replace closure factories in :class:`ExperimentConfig`;
 * :mod:`repro.exec.pool` — repetition fan-out across a
-  ``ProcessPoolExecutor``, bit-identical to serial execution;
-* :mod:`repro.exec.bench` — engine events/sec + standard-cell timing,
-  written to ``BENCH_exec.json`` so the perf trajectory is tracked.
+  ``ProcessPoolExecutor``, bit-identical to serial execution.
 """
 
 from repro.exec.specs import ControllerSpec, available_specs, register_controller, spec

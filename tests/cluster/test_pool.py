@@ -5,13 +5,16 @@ The pool's safety story has three legs, each pinned here: a pooled
 packet released twice *always* raises (even outside debug mode), a
 released packet in debug mode is poisoned so any later use raises or
 misroutes loudly, and the engine only ever recycles a handle when
-``sys.getrefcount`` proves nobody else still holds it.
+``sys.getrefcount`` proves nobody else still holds it.  The payoff is
+pinned too: on the real delivery path, steady state constructs nothing.
 """
 
+import gc
 import math
 
 import pytest
 
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.packet import (
     REQUEST,
     RESPONSE,
@@ -19,7 +22,12 @@ from repro.cluster.packet import (
     PoolError,
     RpcPacket,
 )
+from repro.controllers.targets import TargetConfig
+from repro.core.config import SurgeGuardConfig
+from repro.core.firstresponder import FirstResponder
+from repro.services.registry import get_workload
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
 
 
 def live_pool(**kw):
@@ -258,3 +266,86 @@ class TestHandleRecycling:
         sim.schedule(0.0, lambda: None)
         assert sim.handles_recycled == 1
         assert sim.step()
+
+
+class TestSteadyStateChurn:
+    """Both free lists on the real delivery path.
+
+    A 1-node CHAIN cluster with FirstResponder's RX hook installed;
+    packets ping-pong through a sink endpoint that releases each one, as
+    a serving endpoint does.  Progress targets are loose enough that no
+    boost fires, so this is the steady-state fast path.  Construction
+    counts come from the recyclers themselves, so the bounds are exact.
+    """
+
+    WARMUP = 1_000
+    PACKETS = 4_000
+
+    def churn(self):
+        """Pump ``WARMUP`` then ``PACKETS`` packets; report the second segment."""
+        sim = Simulator()
+        cluster = Cluster(
+            sim, get_workload("chain").build(), ClusterConfig(n_nodes=1), RngRegistry(1)
+        )
+        names = [*cluster.containers, "sink"]
+        targets = TargetConfig(
+            expected_exec_metric=dict.fromkeys(names, 1.0),
+            expected_exec_time=dict.fromkeys(names, 1.0),
+            expected_time_from_start=dict.fromkeys(names, 1.0),
+            qos_target=0.05,
+        )
+        responder = FirstResponder(
+            sim, cluster.node_views[0], SurgeGuardConfig(), targets
+        )
+        responder.install()
+        net = cluster.network
+        delivered = 0
+        stop_at = 0
+
+        def fire():
+            net.send(net.pool.acquire(delivered, REQUEST, "client", "sink", sim.now))
+
+        def sink(pkt):
+            nonlocal delivered
+            delivered += 1
+            net.pool.release(pkt)
+            if delivered < stop_at:
+                fire()
+
+        net.register("sink", cluster.nodes[0], sink)
+
+        def pump(n):
+            nonlocal stop_at
+            stop_at = delivered + n
+            fire()
+            sim.run()
+
+        pump(self.WARMUP)
+        packets, handles = net.pool.constructed, sim.handles_constructed
+        gc.collect()
+        gen2 = gc.get_stats()[2]["collections"]
+        pump(self.PACKETS)
+        assert delivered == self.WARMUP + self.PACKETS
+        # Every delivery took the guarded path, not a shortcut around it.
+        assert responder.packets_inspected == delivered
+        return {
+            "packets": net.pool.constructed - packets,
+            "handles": sim.handles_constructed - handles,
+            "gen2": gc.get_stats()[2]["collections"] - gen2,
+        }
+
+    def test_pooled_steady_state_constructs_nothing(self, monkeypatch):
+        monkeypatch.delenv("REPRO_POOL", raising=False)
+        churn = self.churn()
+        assert churn["packets"] == 0
+        assert churn["handles"] == 0
+        # Nothing is allocated, so the mature generation should not churn;
+        # a couple are allowed for interpreter background noise.
+        assert churn["gen2"] <= 2
+
+    def test_unpooled_constructs_a_packet_and_a_handle_per_delivery(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_POOL", "0")
+        churn = self.churn()
+        assert churn["packets"] + churn["handles"] >= 2 * self.PACKETS

@@ -101,6 +101,30 @@ class TestCancellation:
         sim.run()
         assert fired == []
 
+    def test_lazy_cancel_churn_does_not_accumulate(self, sim):
+        # The Container rescheduling pattern: ``fanout`` self-rescheduling
+        # timers, each pushing a far-future decoy and cancelling the one
+        # it pushed last time.  The decoys lie beyond the run's horizon,
+        # so pop-time skipping never reaches them; only compaction keeps
+        # the heap near the live set (one timer + one decoy per slot).
+        fanout = 32
+        decoys = [None] * fanout
+        peak = [0]
+
+        def tick(slot, delay):
+            old = decoys[slot]
+            if old is not None:
+                old.cancel()
+            decoys[slot] = sim.schedule(1e3, lambda: None)
+            sim.schedule(delay, tick, slot, delay)
+            peak[0] = max(peak[0], sim.events_pending)
+
+        for i in range(fanout):
+            sim.schedule(0.0, tick, i, 1e-4 * (1 + i % 7))
+        sim.run(max_events=50_000)
+        assert sim.events_fired == 50_000
+        assert peak[0] < 5_000
+
 
 class TestRun:
     def test_run_until_stops_and_sets_clock(self, sim):
