@@ -1,9 +1,11 @@
 """Cluster assembly and the controller-facing API.
 
 :class:`Cluster` turns an :class:`~repro.services.taskgraph.AppSpec` into
-a running system: nodes with core budgets, one container + runtime +
-service instance per service, caller-side connection pools per edge, and
-a network with the client attached as an external endpoint.
+a running system: nodes with core budgets, one
+:class:`~repro.cluster.loadbalancer.ReplicaSet` per service whose
+replicas each get a container + runtime + service instance and
+caller-side connection pools per edge, and a network with the client
+attached as an external endpoint.
 
 Controllers interact with the cluster in two ways:
 
@@ -82,11 +84,11 @@ class ClusterConfig:
     #: Record (t, container, value) allocation/frequency change events
     #: (Fig. 14 timelines).
     record_timelines: bool = False
-    #: ``None`` = legacy unreplicated routing (no LB tier at all).  An
-    #: int ``>= 1`` arms the replica tier with that many initial replicas
-    #: per service; ``replicas=1`` is the bit-identical pass-through seam.
-    replicas: Optional[int] = None
-    #: Load-balancing policy for the replica tier (see
+    #: Initial replicas per service.  Every service runs behind its
+    #: :class:`~repro.cluster.loadbalancer.ReplicaSet`; replica 0 keeps
+    #: the bare service name.
+    replicas: int = 1
+    #: Load-balancing policy of every replica set (see
     #: :mod:`repro.cluster.loadbalancer`).
     lb_policy: str = "round_robin"
 
@@ -97,8 +99,8 @@ class ClusterConfig:
             raise ValueError("cores_per_node must be positive")
         if self.placement not in ("pack", "round_robin", "by_depth"):
             raise ValueError(f"unknown placement {self.placement!r}")
-        if self.replicas is not None and self.replicas < 1:
-            raise ValueError("replicas must be >= 1 when set")
+        if self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
         if self.lb_policy not in LB_POLICIES:
             raise ValueError(f"unknown lb_policy {self.lb_policy!r}")
 
@@ -204,10 +206,7 @@ class Cluster:
         ]
         self.network = Network(sim, config.network, rng.stream("network"))
 
-        armed = config.replicas is not None
-        n_reps = config.replicas if armed else 1
-        # expand_replicas/expand_depths are the identity at n_reps=1, so
-        # the unreplicated placement maps are reproduced byte-for-byte.
+        n_reps = config.replicas
         names = expand_replicas(app.service_names, n_reps)
         if config.placement == "pack":
             placement = pack_first(names, config.n_nodes)
@@ -224,28 +223,20 @@ class Cluster:
         #: Replica endpoint name -> service name (entries only for the
         #: numbered replicas; replica 0 *is* the service).
         self._service_of: Dict[str, str] = {}
-        #: ``None`` until replication is armed — the LB tier then holds
-        #: one :class:`ReplicaSet` per service.
-        self.replica_sets: Optional[Dict[str, ReplicaSet]] = (
-            {} if armed else None
-        )
+        #: The load-balancer tier: one :class:`ReplicaSet` per service.
+        self.replica_sets: Dict[str, ReplicaSet] = {}
 
         for spec in app.services:
-            rset = None
-            if armed:
-                rset = ReplicaSet(spec.name, make_policy(config.lb_policy))
-                self.replica_sets[spec.name] = rset
+            rset = ReplicaSet(spec.name, make_policy(config.lb_policy))
+            self.replica_sets[spec.name] = rset
             for k in range(n_reps):
                 rname = replica_name(spec.name, k)
                 if k:
                     self._service_of[rname] = spec.name
                 node = self.nodes[placement[rname]]
                 container, instance = self._deploy(spec, rname, node)
-                if armed:
-                    rset.add(
-                        Replica(rname, spec.name, k, READY, container, instance, node)
-                    )
-                    self.network.add_virtual(rname, rset)
+                rset.add(Replica(rname, spec.name, k, READY, container, instance, node))
+                self.network.add_virtual(rname, rset)
 
         self.network.register(CLIENT, None, self._client_rx)
 
@@ -266,9 +257,9 @@ class Cluster:
     # ------------------------------------------------------------ deployment
     def _deploy(self, spec, rname: str, node: Node):
         """Build one replica's container/runtime/pools/instance and
-        register its network endpoint.  Replica 0 of an unreplicated (or
-        replicas=1) cluster reproduces the legacy construction exactly:
-        same names, same ``work.<service>`` RNG stream, same order."""
+        register its network endpoint.  Each replica draws its work from
+        its own ``work.<endpoint>`` RNG stream, so replica 0 of every
+        service keeps the stream of the bare service name."""
         sim, config = self.sim, self.config
         container = Container(
             sim, rname, config.dvfs,
@@ -316,10 +307,7 @@ class Cluster:
         return self._service_of.get(container_name, container_name)
 
     def replicas_of(self, service: str) -> List[str]:
-        """Replica endpoint names of ``service`` in index order
-        (``[service]`` itself when replication is unarmed)."""
-        if self.replica_sets is None:
-            return [service]
+        """Replica endpoint names of ``service`` in index order."""
         return [r.name for r in self.replica_sets[service].replicas]
 
     def _best_node(self, need: float) -> Optional[Node]:
@@ -354,8 +342,6 @@ class Cluster:
         charges horizontal scaling with).  Returns ``None`` when no node
         can fit the replica's initial cores.
         """
-        if self.replica_sets is None:
-            raise RuntimeError("scale_out requires a replica-armed cluster")
         rset = self.replica_sets[service]
         for r in rset.replicas:
             if r.state == DRAINING:
@@ -411,8 +397,6 @@ class Cluster:
         the determinism anchor and the minimum deployment.  Returns the
         draining replica's name, or ``None`` if nothing is eligible.
         """
-        if self.replica_sets is None:
-            raise RuntimeError("scale_in requires a replica-armed cluster")
         rset = self.replica_sets[service]
         pick = None
         for r in rset.replicas:
@@ -432,8 +416,6 @@ class Cluster:
         integrals freeze; the endpoint registration survives so a later
         scale-out can revive the slot.  Returns the number reaped.
         """
-        if self.replica_sets is None:
-            return 0
         g = self.REAP_GRACE if grace is None else grace
         now = self.sim.now
         reaped = 0

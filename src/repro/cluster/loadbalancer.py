@@ -1,13 +1,13 @@
 """Replica sets and the load-balancer tier of the packet path.
 
-Horizontal scaling makes *replicas* first-class: a service may be backed
-by N stateless copies, each with its own container, runtime, connection
-pools, and deterministic work stream.  Replica 0 keeps the bare service
-name (``chain2``); replica ``k >= 1`` is named ``chain2@k``.  Keeping the
-zeroth replica's name equal to the service name is the determinism seam:
-with ``replicas=1`` every endpoint name, RNG stream, placement entry,
-and packet address is byte-for-byte what the unreplicated cluster
-produces, so the golden fingerprints cannot tell the two apart.
+Every service runs behind a :class:`ReplicaSet` of N >= 1 stateless
+copies, each with its own container, runtime, connection pools, and
+deterministic work stream.  Replica 0 keeps the bare service name
+(``chain2``); replica ``k >= 1`` is named ``chain2@k``.  Keeping the
+zeroth replica's name equal to the service name is the determinism
+seam: with one replica per service every endpoint name, RNG stream,
+placement entry, and packet address is the service's own, so vertical
+scaling acts on the service and horizontal scaling only adds replicas.
 
 The LB sits at the *top* of :meth:`Network.send` (see
 ``cluster/network.py``): REQUEST packets addressed to a virtual (service)
@@ -27,8 +27,8 @@ endpoint (the network rejects duplicate registration by design).
 Policy selection is deliberately RNG-free — round-robin is a monotone
 counter, least-loaded breaks ties by replica index, and consistent
 hashing uses CRC-32 (never Python's salted ``hash()``) — so a replicated
-run is exactly reproducible and the replicas=1 pass-through consumes no
-random draws at all.
+run is exactly reproducible, and a single-replica set never consults its
+policy at all.
 """
 
 from __future__ import annotations
@@ -242,9 +242,8 @@ class ReplicaSet:
     :meth:`resolve` is the only routing decision point: it filters to
     lifecycle-READY replicas, then to healthy (not crashed) ones —
     *failing open* to the ready pool when every ready replica is crashed,
-    so a replicas=1 crash behaves exactly like the unreplicated
-    dead-socket path (packets still flow and are dropped at the down
-    instance, keeping fault goldens bit-identical).
+    so a crashed sole replica behaves like a dead socket (packets still
+    flow and are dropped at the down instance).
     """
 
     __slots__ = ("service", "policy", "replicas", "dispatched", "unroutable",
@@ -276,12 +275,17 @@ class ReplicaSet:
 
     def resolve(self, pkt: "RpcPacket") -> Optional[str]:
         """Pick a concrete replica endpoint for ``pkt`` (or ``None``)."""
-        ready = [r for r in self.replicas if r.state == READY]
+        replicas = self.replicas
+        if len(replicas) == 1:
+            # The default deployment: skip building the ready list.
+            ready = replicas if replicas[0].state == READY else ()
+        else:
+            ready = [r for r in replicas if r.state == READY]
         if not ready:
             self.unroutable += 1
             return None
         if len(ready) == 1:
-            r = ready[0]  # replicas=1 pass-through: no policy, no filter
+            r = ready[0]  # sole READY replica: no policy, no health filter
         else:
             pool = [r for r in ready if not r.down] or ready
             r = self.policy.select(pool, pkt) if len(pool) > 1 else pool[0]

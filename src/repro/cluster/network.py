@@ -128,10 +128,9 @@ class Network:
         # (src, dst) -> (base latency, dst node, handler); safe to cache
         # forever because registration is once-only.
         self._routes: Dict[Tuple[str, str], Tuple[float, Optional[Node], Endpoint]] = {}
-        # Load-balancer tier: virtual endpoint name -> ReplicaSet.  Empty
-        # unless the cluster armed replication; the unarmed cost is one
-        # falsy-dict check per send.  Maps the service name *and* every
-        # replica endpoint, so retries to a concrete replica re-resolve.
+        # Load-balancer tier: virtual endpoint name -> ReplicaSet.  Maps
+        # the service name *and* every replica endpoint, so retries to a
+        # concrete replica re-resolve.
         self._virtual: Dict[str, object] = {}
         #: REQUESTs the LB could not place (no READY replica); the packet
         #: is released, not sent — mirrors a connection-refused at the VIP.
@@ -269,7 +268,7 @@ class Network:
         Delivery runs the destination node's RX hooks (if any) and then
         the endpoint handler.
         """
-        if self._virtual and packet.kind == REQUEST:
+        if packet.kind == REQUEST:
             rset = self._virtual.get(packet.dst)
             if rset is not None:
                 resolved = rset.resolve(packet)

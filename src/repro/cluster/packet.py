@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, List, Optional
 
-from repro.sim.recycle import pool_debug, pool_enabled
-
 __all__ = ["PacketPool", "PoolError", "RpcPacket", "REQUEST", "RESPONSE"]
 
 REQUEST = "request"
@@ -142,10 +140,11 @@ _POISON = "\x00released-packet\x00"
 class PacketPool:
     """Free-list recycler for hot-path :class:`RpcPacket` objects.
 
-    One pool per :class:`~repro.cluster.network.Network`.  The switches
-    are read from the environment **at construction time**
-    (:mod:`repro.sim.recycle`), so a test can build one cluster with
-    pooling and one without in the same process.
+    One pool per :class:`~repro.cluster.network.Network`.  With
+    ``debug=True`` every released packet is *poisoned* (fields
+    overwritten with sentinels that make any later use raise or
+    misroute), so a use-after-release surfaces at the point of use
+    instead of as silent state corruption.
 
     Ownership rules (the full release-point map is DESIGN.md §8):
 
@@ -158,13 +157,10 @@ class PacketPool:
       collector — exactly the pre-pool behavior, never a correctness bug.
     """
 
-    __slots__ = ("enabled", "debug", "_free", "constructed", "recycled", "released")
+    __slots__ = ("debug", "_free", "constructed", "recycled", "released")
 
-    def __init__(
-        self, *, enabled: Optional[bool] = None, debug: Optional[bool] = None
-    ):
-        self.enabled = pool_enabled() if enabled is None else enabled
-        self.debug = pool_debug() if debug is None else debug
+    def __init__(self, *, debug: bool = False):
+        self.debug = debug
         self._free: List[RpcPacket] = []
         #: Fresh ``RpcPacket`` constructions through this pool (the
         #: object-churn numerator of the allocation benchmark).
@@ -214,8 +210,7 @@ class PacketPool:
             context=context,
         )
         self.constructed += 1
-        if self.enabled:
-            pkt._pool_state = _LIVE
+        pkt._pool_state = _LIVE
         return pkt
 
     def fork_downstream(

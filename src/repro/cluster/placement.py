@@ -61,8 +61,8 @@ def expand_replicas(services: Sequence[str], replicas: int) -> List[str]:
     order with a service's replicas consecutive.
 
     ``replicas=1`` is the identity (replica 0 keeps the bare service
-    name), so every placement policy produces byte-identical maps for an
-    unreplicated-equivalent cluster — the golden-fingerprint seam.
+    name), so a one-replica cluster places each service under its own
+    name.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")

@@ -29,9 +29,7 @@ class _ReplicaFallback(dict):
 
     Stateless replicas share their service's profile, so a lookup for
     ``chain2@3`` falls back to the ``chain2`` entry (and caches it, so
-    the dict stays C-speed after first touch).  Only used on
-    replica-armed runs — unarmed clusters keep plain dicts, so the
-    golden fast path never pays for the subclass.
+    indexing stays C-speed after first touch).
     """
 
     def __missing__(self, key):

@@ -113,18 +113,15 @@ class ExperimentConfig:
     #: profile cache key deliberately excludes faults so faulty and
     #: fault-free cells of one workload share a profiling pass.
     faults: Optional[FaultPlan] = None
-    #: ``None`` = legacy unreplicated routing.  An int >= 1 arms the
-    #: replica/LB tier on the *measured* run with that many initial
-    #: replicas per service (profiling always runs unreplicated — the
+    #: Initial replicas per service on the *measured* run.  Profiling
+    #: always runs one replica on the one-replica budget — the
     #: per-service targets are replica-independent, and the profile
-    #: cache stays shared across replica settings).  ``replicas=1``
-    #: with the default budget is bit-identical to unreplicated.
-    replicas: Optional[int] = None
-    #: Load-balancing policy when the replica tier is armed.
+    #: cache stays shared across replica settings.
+    replicas: int = 1
+    #: Load-balancing policy of every service's replica set.
     lb_policy: str = "round_robin"
-    #: Size the node budget to host this many replicas per service
-    #: (``None`` keeps the unreplicated budget — required for the
-    #: replicas=1 identity cells).
+    #: Size the measured run's node budget to host this many replicas
+    #: per service (``None`` = the one-replica budget).
     replica_capacity: Optional[int] = None
     #: Network fabric override (``None`` = default
     #: :class:`~repro.cluster.network.NetworkConfig`).  The multinode
@@ -208,27 +205,25 @@ def _build_cluster(
     seed: int,
     *,
     record: bool,
-    replicated: bool = False,
+    replicas: int = 1,
+    replica_capacity: int = 1,
 ) -> Tuple[Simulator, Cluster]:
-    armed = replicated and cfg.replicas is not None
     cores = cfg.cores_per_node
     if cores is None:
-        capacity = cfg.replica_capacity if (armed and cfg.replica_capacity) else 1
-        cores = node_budget(app, n_nodes=cfg.n_nodes, replica_capacity=capacity)
+        cores = node_budget(
+            app, n_nodes=cfg.n_nodes, replica_capacity=replica_capacity
+        )
     sim = Simulator()
     rng = RngRegistry(seed)
-    # The network override is threaded only when set, so the default
-    # construction stays byte-for-byte what it always was.
-    extra = {} if cfg.network is None else {"network": cfg.network}
     cluster_cfg = ClusterConfig(
         n_nodes=cfg.n_nodes,
         cores_per_node=cores,
+        network=cfg.network or NetworkConfig(),
         placement=cfg.placement if cfg.n_nodes > 1 else "pack",
         record_timelines=record,
         trace_runtimes=cfg.trace_runtimes,
-        replicas=cfg.replicas if armed else None,
+        replicas=replicas,
         lb_policy=cfg.lb_policy,
-        **extra,
     )
     return sim, Cluster(sim, app, cluster_cfg, rng)
 
@@ -342,13 +337,17 @@ def run_experiment(
     """
     if targets is None:
         targets = profile_targets(cfg)
-    if cfg.replicas is not None:
-        # Fresh copy with replica-name fallback — never mutate the
-        # (possibly cached, shared) profiled TargetConfig.
-        targets = targets.with_replica_fallback()
+    # Fresh copy with replica-name fallback — never mutate the (possibly
+    # cached, shared) profiled TargetConfig.
+    targets = targets.with_replica_fallback()
     app = cfg.resolved_app()
     sim, cluster = _build_cluster(
-        cfg, app, seed=cfg.seed, record=cfg.record_timelines, replicated=True
+        cfg,
+        app,
+        seed=cfg.seed,
+        record=cfg.record_timelines,
+        replicas=cfg.replicas,
+        replica_capacity=cfg.replica_capacity or 1,
     )
     for surge_start, surge_end, surge_extra in cfg.latency_surges:
         cluster.network.add_latency_surge(surge_start, surge_end, surge_extra)

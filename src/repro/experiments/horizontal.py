@@ -4,7 +4,7 @@ Not a numbered figure — the §VII Discussion claim, quantified as the
 repo's headline replica experiment: the same periodic surge handled by
 
 * **vertical** — SurgeGuard scaling cores/frequency of single
-  containers (the paper's system, unreplicated);
+  containers (the paper's system, one replica per service);
 * **horizontal** — an HPA-style autoscaler actuating replica counts
   behind the load-balancer tier, paying a realistic launch delay while
   a new replica warms;
@@ -56,14 +56,13 @@ class StrategyRow:
 
 def _strategy_config(strategy: str, workload: str) -> ExperimentConfig:
     sc = current_scale()
-    replicas: Optional[int] = None
     capacity: Optional[int] = None
     if strategy == "vertical":
         factory = spec("surgeguard")
     else:
         hpa = dict(interval=1.0, launch_delay=_LAUNCH_DELAY)
         factory = spec("hpa" if strategy == "horizontal" else "hybrid", **hpa)
-        replicas, capacity = 1, 3
+        capacity = 3
     return ExperimentConfig(
         workload=workload,
         controller_factory=factory,
@@ -74,7 +73,6 @@ def _strategy_config(strategy: str, workload: str) -> ExperimentConfig:
         duration=sc.duration,
         warmup=sc.warmup,
         profile_duration=sc.profile_duration,
-        replicas=replicas,
         replica_capacity=capacity,
     )
 

@@ -23,8 +23,7 @@ Design notes
   ``sys.getrefcount`` proves the run loop holds the last reference.  A
   handle someone kept (say, for a later ``cancel()``) is never recycled,
   which makes stale-handle corruption impossible by construction rather
-  than by convention.  ``REPRO_POOL=0`` disables recycling (see
-  :mod:`repro.sim.recycle`).
+  than by convention.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ import heapq
 import math
 import sys
 from typing import Any, Callable, Optional
-
-from repro.sim.recycle import pool_enabled
 
 __all__ = ["EventHandle", "Simulator", "SimulationError"]
 
@@ -64,14 +61,18 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Cancel the event.  Idempotent; cancelling a fired event is a no-op."""
-        if not self.cancelled and self.fn is not None and self.owner is not None:
-            self.owner._note_cancel()
+        owner = self.owner
+        live = not self.cancelled and self.fn is not None
         self.cancelled = True
         # Drop references so a cancelled handle retained by user code does not
         # keep a whole object graph alive until the heap drains.
         self.fn = None
         self.args = ()
         self.owner = None
+        # Notify last: a compaction triggered here must already see this
+        # handle as dead, or it keeps the entry and then zeroes the count.
+        if live and owner is not None:
+            owner._note_cancel()
 
     @property
     def active(self) -> bool:
@@ -135,7 +136,7 @@ class Simulator:
         # it.  That proof is CPython-specific; other interpreters simply
         # allocate fresh handles.
         self._free: Optional[list[EventHandle]] = (
-            [] if pool_enabled() and sys.implementation.name == "cpython" else None
+            [] if sys.implementation.name == "cpython" else None
         )
         self._handles_recycled = 0
         #: optional callable ``(time, fn, args)`` invoked before each event;

@@ -14,7 +14,8 @@ under three traffic shapes:
 Four more families ride along, each from its own ``*_matrix`` builder:
 ``faults`` (fault plans with RPC resilience), ``horizontal`` (replicas
 behind the load balancer), ``zoo`` (the plugin controllers) and
-``multinode`` (4 nodes without replicas, on a jitter-free fabric).
+``multinode`` (4 nodes at one replica per service, on a jitter-free
+fabric).
 Every cell is one event loop in one process.
 
 Durations are deliberately small (a cell runs in seconds) — this matrix
@@ -240,7 +241,7 @@ def horizontal_matrix(
     scenarios: Optional[List[str]] = None,
 ) -> List[Scenario]:
     """The replica-scaling cells: every workload family × {hpa, hybrid}
-    under the standard periodic surge, with the LB tier armed."""
+    under the standard periodic surge, with the HPA scaling replicas."""
     families = list(WORKLOADS) if workloads is None else workloads
     ctrls = list(HORIZONTAL_CONTROLLERS) if controllers is None else controllers
     shapes = list(HORIZONTAL_SCENARIOS) if scenarios is None else scenarios
@@ -281,7 +282,7 @@ def horizontal_matrix(
 #: Controller-zoo family: the related-work plugins of DESIGN.md §11.
 ZOO_CONTROLLERS: Tuple[str, ...] = ("statuscale", "lsram")
 
-#: Zoo scenarios: the vertical-scaling shapes plus the replica-armed
+#: Zoo scenarios: the vertical-scaling shapes plus the two-replica
 #: surge, which exercises both plugins on ``svc@k`` replica endpoints
 #: (targets resolved through the replica fallback).
 ZOO_SCENARIOS: Tuple[str, ...] = ("steady", "spike", "replica-surge")
@@ -388,8 +389,8 @@ def multinode_matrix(
     scenarios: Optional[List[str]] = None,
 ) -> List[Scenario]:
     """The multi-node cells: every workload family × {null, surgeguard}
-    × {steady, spike} on a 4-node, jitter-free fabric, with no replicas
-    (the only such cells in the matrix)."""
+    × {steady, spike} on a 4-node, jitter-free fabric, at one replica
+    per service (the only multi-node cells in the matrix)."""
     families = list(WORKLOADS) if workloads is None else workloads
     ctrls = list(MULTINODE_CONTROLLERS) if controllers is None else controllers
     shapes = list(MULTINODE_SCENARIOS) if scenarios is None else scenarios

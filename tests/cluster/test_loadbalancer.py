@@ -2,21 +2,27 @@
 policy registry, cluster replica API, and the network's virtual-endpoint
 resolution seam."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.loadbalancer import (
     DOWN,
     DRAINING,
+    LB_POLICIES,
     READY,
     WARMING,
     ConsistentHashPolicy,
     LeastLoadedPolicy,
+    Replica,
+    ReplicaSet,
     RoundRobinPolicy,
     make_policy,
     replica_name,
     service_of_name,
 )
+from repro.cluster.packet import REQUEST, RpcPacket
 from repro.cluster.placement import expand_depths, expand_replicas
 from tests.conftest import drive_cluster, make_chain_app
 
@@ -80,16 +86,49 @@ class TestClusterConfigValidation:
             ClusterConfig(replicas=2, lb_policy="random")
 
 
-class TestUnarmedCluster:
-    def test_replica_api_degrades_to_identity(self, small_cluster):
-        assert small_cluster.replica_sets is None
+class TestDefaultCluster:
+    def test_every_service_runs_behind_one_replica(self, small_cluster):
+        assert set(small_cluster.replica_sets) == {"s0", "s1", "s2"}
+        for svc, rset in small_cluster.replica_sets.items():
+            assert [r.name for r in rset.replicas] == [svc]
+            assert rset.replicas[0].state == READY
         assert small_cluster.replicas_of("s1") == ["s1"]
         assert small_cluster.service_of("s1") == "s1"
-        with pytest.raises(RuntimeError, match="replica-armed"):
-            small_cluster.scale_out("s1")
-        with pytest.raises(RuntimeError, match="replica-armed"):
-            small_cluster.scale_in("s1")
+        assert small_cluster.scale_in("s1") is None
         assert small_cluster.reap_draining() == 0
+
+
+class TestSingleReadyReplica:
+    """With one READY replica the set routes to it without asking the
+    policy — under every policy, even when that replica is crashed."""
+
+    @staticmethod
+    def _rset(policy_name, *states, down=False):
+        policy = make_policy(policy_name)
+
+        def select(pool, pkt):
+            raise AssertionError(f"{policy_name} consulted for a sole replica")
+
+        policy.select = select
+        rset = ReplicaSet("svc", policy)
+        for k, state in enumerate(states):
+            inst = SimpleNamespace(_down=down and k == 0, inflight=0)
+            rset.add(Replica(replica_name("svc", k), "svc", k, state, instance=inst))
+        return rset
+
+    @pytest.mark.parametrize("policy_name", sorted(LB_POLICIES))
+    @pytest.mark.parametrize("down", [False, True])
+    def test_resolve_never_calls_select(self, policy_name, down):
+        for states in ((READY,), (READY, WARMING), (READY, DRAINING, DOWN)):
+            rset = self._rset(policy_name, *states, down=down)
+            for rid in range(8):
+                pkt = RpcPacket(
+                    request_id=rid, kind=REQUEST, src="client", dst="svc",
+                    start_time=0.0,
+                )
+                assert rset.resolve(pkt) == "svc"
+            assert rset.dispatched == rset.replicas[0].dispatched == 8
+            assert rset.unroutable == 0
 
 
 class TestArmedCluster:

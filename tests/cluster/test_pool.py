@@ -30,22 +30,16 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 
-def live_pool(**kw):
-    kw.setdefault("enabled", True)
-    kw.setdefault("debug", False)
-    return PacketPool(**kw)
-
-
 class TestAcquireRelease:
     def test_acquire_constructs_when_free_list_empty(self):
-        pool = live_pool()
+        pool = PacketPool()
         pkt = pool.acquire(1, REQUEST, "a", "b", 0.5)
         assert isinstance(pkt, RpcPacket)
         assert pool.constructed == 1
         assert pool.recycled == 0
 
     def test_release_then_acquire_reuses_the_same_object(self):
-        pool = live_pool()
+        pool = PacketPool()
         first = pool.acquire(1, REQUEST, "a", "b", 0.5, 3)
         pool.release(first)
         second = pool.acquire(2, RESPONSE, "c", "d", 1.5)
@@ -62,7 +56,7 @@ class TestAcquireRelease:
         assert second.context is None
 
     def test_release_of_directly_constructed_packet_is_noop(self):
-        pool = live_pool()
+        pool = PacketPool()
         pkt = RpcPacket(request_id=1, kind=REQUEST, src="a", dst="b", start_time=0.0)
         pool.release(pkt)
         pool.release(pkt)  # still a no-op, not a double release
@@ -70,29 +64,20 @@ class TestAcquireRelease:
         assert pool.released == 0
 
     def test_double_release_raises_even_without_debug(self):
-        pool = live_pool()
+        pool = PacketPool()
         pkt = pool.acquire(1, REQUEST, "a", "b", 0.0)
         pool.release(pkt)
         with pytest.raises(PoolError, match="double release"):
             pool.release(pkt)
 
     def test_release_drops_the_context_reference(self):
-        pool = live_pool()
+        pool = PacketPool()
         pkt = pool.acquire(1, REQUEST, "a", "b", 0.0, context=lambda p: None)
         pool.release(pkt)
         assert not callable(pkt.context) or pkt.context.__name__ == "_poison_context"
 
-    def test_disabled_pool_never_recycles(self):
-        pool = PacketPool(enabled=False, debug=False)
-        pkt = pool.acquire(1, REQUEST, "a", "b", 0.0)
-        pool.release(pkt)  # unmanaged: no-op
-        other = pool.acquire(2, REQUEST, "a", "b", 0.0)
-        assert other is not pkt
-        assert pool.recycled == 0
-        assert pool.constructed == 2
-
     def test_stats_snapshot(self):
-        pool = live_pool()
+        pool = PacketPool()
         pkt = pool.acquire(1, REQUEST, "a", "b", 0.0)
         pool.release(pkt)
         pool.acquire(2, REQUEST, "a", "b", 0.0)
@@ -106,14 +91,14 @@ class TestAcquireRelease:
 
 class TestPoisonDebugMode:
     def test_use_after_release_context_call_raises(self):
-        pool = live_pool(debug=True)
+        pool = PacketPool(debug=True)
         pkt = pool.acquire(1, RESPONSE, "a", "client", 0.0, context=lambda p: None)
         pool.release(pkt)
         with pytest.raises(PoolError, match="use-after-release"):
             pkt.context(pkt)  # a stale continuation firing
 
     def test_released_packet_fields_are_poisoned(self):
-        pool = live_pool(debug=True)
+        pool = PacketPool(debug=True)
         pkt = pool.acquire(1, REQUEST, "a", "b", 2.0)
         pool.release(pkt)
         # Stale routing on the poisoned packet cannot silently succeed:
@@ -124,7 +109,7 @@ class TestPoisonDebugMode:
         assert math.isnan(pkt.start_time) and math.isnan(pkt.send_time)
 
     def test_reacquired_packet_is_fully_unpoisoned(self):
-        pool = live_pool(debug=True)
+        pool = PacketPool(debug=True)
         pkt = pool.acquire(1, REQUEST, "a", "b", 2.0)
         pool.release(pkt)
         again = pool.acquire(2, REQUEST, "x", "y", 3.0)
@@ -148,39 +133,18 @@ class TestPooledBuilders:
 
     def test_fork_downstream_matches_method(self):
         pkt = self.mk()
-        pool = live_pool()
+        pool = PacketPool()
         pooled = pool.fork_downstream(pkt, dst="s1", src="s0", upscale=1)
         plain = pkt.fork_downstream(dst="s1", src="s0", upscale=1)
         assert pooled == plain
 
     def test_make_response_matches_method(self):
         pkt = self.mk()
-        pool = live_pool()
+        pool = PacketPool()
         pooled = pool.make_response(pkt, src="s0", error=True)
         plain = pkt.make_response(src="s0", error=True)
         assert pooled == plain
         assert pooled.context is pkt.context
-
-
-class TestEnvSwitches:
-    def test_pool_disabled_via_env_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "0")
-        pool = PacketPool()
-        assert not pool.enabled
-        pkt = pool.acquire(1, REQUEST, "a", "b", 0.0)
-        pool.release(pkt)
-        assert pool.free == 0
-
-    def test_debug_enabled_via_env_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
-        pool = PacketPool()
-        assert pool.enabled and pool.debug
-
-    def test_default_is_pooled_non_debug(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL", raising=False)
-        monkeypatch.delenv("REPRO_POOL_DEBUG", raising=False)
-        pool = PacketPool()
-        assert pool.enabled and not pool.debug
 
 
 class TestHandleRecycling:
@@ -243,21 +207,6 @@ class TestHandleRecycling:
         fresh = sim.schedule(0.0, lambda: None)
         assert fresh is not kept
         assert sim.handles_recycled == 0
-
-    def test_env_kill_switch_disables_recycling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "0")
-        sim = Simulator()
-        remaining = [100]
-
-        def tick():
-            remaining[0] -= 1
-            if remaining[0]:
-                sim.schedule(1e-6, tick)
-
-        sim.schedule(0.0, tick)
-        sim.run()
-        assert sim.handles_recycled == 0
-        assert sim.handles_constructed == 100
 
     def test_step_recycles_like_run(self):
         sim = Simulator()
@@ -334,18 +283,10 @@ class TestSteadyStateChurn:
             "gen2": gc.get_stats()[2]["collections"] - gen2,
         }
 
-    def test_pooled_steady_state_constructs_nothing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL", raising=False)
+    def test_pooled_steady_state_constructs_nothing(self):
         churn = self.churn()
         assert churn["packets"] == 0
         assert churn["handles"] == 0
         # Nothing is allocated, so the mature generation should not churn;
         # a couple are allowed for interpreter background noise.
         assert churn["gen2"] <= 2
-
-    def test_unpooled_constructs_a_packet_and_a_handle_per_delivery(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_POOL", "0")
-        churn = self.churn()
-        assert churn["packets"] + churn["handles"] >= 2 * self.PACKETS

@@ -17,11 +17,6 @@ from repro.experiments.harness import run_experiment
 from tests.controllers.conftest import mini_config
 
 
-def _replicated(factory, **overrides):
-    overrides.setdefault("replicas", 1)
-    return mini_config(factory, **overrides)
-
-
 class _ClusterProbe:
     """Capture end-state replica counts via the harness probe hook."""
 
@@ -46,16 +41,11 @@ class TestParams:
         with pytest.raises(ValueError):
             HpaParams(min_replicas=3, max_replicas=2)
 
-    def test_requires_replica_armed_cluster(self):
-        cfg = mini_config(lambda: HorizontalAutoscaler())  # replicas=None
-        with pytest.raises(RuntimeError, match="replica-armed"):
-            run_experiment(cfg)
-
 
 class TestHorizontalAlone:
     def test_scales_out_replicas_under_sustained_load(self):
         probe = _ClusterProbe()
-        cfg = _replicated(
+        cfg = mini_config(
             lambda: HorizontalAutoscaler(HpaParams(interval=0.5, launch_delay=1.0)),
             spike_magnitude=2.5,
             spike_len=4.0,
@@ -69,7 +59,7 @@ class TestHorizontalAlone:
         """With a launch delay longer than the surge, the replica lands
         too late to help during it — the §VII gap SurgeGuard bridges."""
         slow = run_experiment(
-            _replicated(
+            mini_config(
                 lambda: HorizontalAutoscaler(
                     HpaParams(interval=0.5, launch_delay=5.0)
                 ),
@@ -77,7 +67,7 @@ class TestHorizontalAlone:
             )
         )
         fast = run_experiment(
-            _replicated(
+            mini_config(
                 lambda: HorizontalAutoscaler(
                     HpaParams(interval=0.5, launch_delay=0.25)
                 ),
@@ -87,7 +77,7 @@ class TestHorizontalAlone:
 
     def test_scales_in_when_idle(self):
         probe = _ClusterProbe()
-        cfg = _replicated(
+        cfg = mini_config(
             lambda: HorizontalAutoscaler(
                 HpaParams(interval=0.25, scale_in_patience=2, launch_delay=0.5)
             ),
@@ -206,7 +196,7 @@ class TestBaselineAccounting:
         """Scale-in under idle load, then a late surge that revives the
         reaped replica: the run completes with both actions recorded."""
         probe = _ClusterProbe()
-        cfg = _replicated(
+        cfg = mini_config(
             lambda: HorizontalAutoscaler(
                 HpaParams(
                     interval=0.25, scale_in_patience=2, launch_delay=0.25
@@ -234,16 +224,16 @@ class TestHybrid:
         SurgeGuard units hold QoS in the meantime."""
         hpa = HpaParams(interval=0.5, launch_delay=2.0)
         alone = run_experiment(
-            _replicated(lambda: HorizontalAutoscaler(hpa), spike_len=1.5)
+            mini_config(lambda: HorizontalAutoscaler(hpa), spike_len=1.5)
         )
         hybrid = run_experiment(
-            _replicated(lambda: HybridController(hpa), spike_len=1.5)
+            mini_config(lambda: HybridController(hpa), spike_len=1.5)
         )
         assert hybrid.violation_volume < alone.violation_volume
 
     def test_hybrid_counts_both_units_actions(self):
         res = run_experiment(
-            _replicated(
+            mini_config(
                 lambda: HybridController(HpaParams(interval=0.5, launch_delay=1.0))
             )
         )

@@ -3,10 +3,10 @@
 Packet and event-handle pooling reuses *memory*, never *state*: every
 acquired object has all fields overwritten, and release points only
 touch objects nothing else retains.  These tests pin that claim the
-hard way — full experiment cells run with pooling enabled (the
-default), disabled (``REPRO_POOL=0``), and in poison-debug mode
-(``REPRO_POOL_DEBUG=1``, where any touch of a released object raises or
-misroutes loudly) must reproduce the committed goldens bit-for-bit.
+hard way — full experiment cells run with the network's packet pool in
+poison-debug mode (``PacketPool(debug=True)``, where any touch of a
+released packet raises or misroutes loudly) must reproduce the
+committed goldens bit-for-bit.
 
 The fault cell matters most: packets die mid-flight there (loss drops,
 crash-killed servers, superseded retries), which is exactly where a
@@ -14,9 +14,13 @@ wrong release point would recycle a still-referenced packet and corrupt
 a later request.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.analysis.aggregate import run_cell
+from repro.cluster import network
+from repro.cluster.packet import PacketPool
 from repro.experiments.harness import clear_profile_cache
 from repro.validate.fingerprint import fingerprint_diff
 from repro.validate.runner import load_goldens, run_cell_validated
@@ -38,42 +42,34 @@ def _run_golden_cell(key: str) -> None:
     ] == want["rep_violation_volumes"]
 
 
-class TestFastlaneGoldensModeIndependent:
-    @pytest.mark.parametrize("key", ["chain", "readUserTimeline"])
-    def test_goldens_hold_with_pooling_disabled(self, key, monkeypatch):
-        monkeypatch.setenv("REPRO_REPS", "3")
-        monkeypatch.setenv("REPRO_POOL", "0")
-        _run_golden_cell(key)
+def _run_fault_cell(scenario: str) -> None:
+    (cell,) = fault_matrix(controllers=["surgeguard"], scenarios=[scenario])
+    clear_profile_cache()
+    out = run_cell_validated(cell)
+    assert not out.violations, out.violations
+    golden = load_goldens()[cell.key]
+    assert fingerprint_diff(golden, out.fingerprint) == []
 
-    def test_goldens_hold_in_poison_debug_mode(self, monkeypatch):
+
+class TestFastlaneGoldensModeIndependent:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(partial(_run_golden_cell, "chain"), id="chain"),
+            pytest.param(
+                partial(_run_fault_cell, "crash-during-surge"),
+                id="crash-during-surge",
+            ),
+        ],
+    )
+    def test_goldens_hold_in_poison_debug_mode(self, run, monkeypatch):
         # Debug mode poisons every released packet, so this run doubles
         # as a proof that the production release points never give up a
         # packet something still reads: a use-after-release would raise
         # (context) or misroute (poisoned names) and break the golden.
         monkeypatch.setenv("REPRO_REPS", "3")
-        monkeypatch.setenv("REPRO_POOL", "1")
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
-        _run_golden_cell("chain")
-
-
-class TestFaultCellFingerprintModeIndependent:
-    """crash-during-surge: the cell where packets die mid-flight."""
-
-    def _outcome(self):
-        (cell,) = fault_matrix(
-            controllers=["surgeguard"], scenarios=["crash-during-surge"]
+        monkeypatch.setattr(
+            "repro.cluster.network.PacketPool", partial(PacketPool, debug=True)
         )
-        clear_profile_cache()
-        out = run_cell_validated(cell)
-        assert not out.violations, out.violations
-        return cell, out
-
-    def test_pooled_and_unpooled_fingerprints_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "1")
-        cell, pooled = self._outcome()
-        monkeypatch.setenv("REPRO_POOL", "0")
-        _, unpooled = self._outcome()
-        assert pooled.fingerprint == unpooled.fingerprint
-        # And both match the committed golden, not just each other.
-        golden = load_goldens()[cell.key]
-        assert fingerprint_diff(golden, pooled.fingerprint) == []
+        assert network.PacketPool().debug
+        run()

@@ -91,8 +91,16 @@ class TestMeasuredRun:
         assert cfg.resolved_rate() == 1800.0
         assert cfg.resolved_app().name == "CHAIN"
 
-    def test_explicit_targets_bypass_profiling(self):
+    def test_explicit_targets_bypass_profiling(self, monkeypatch):
         cfg = mini_config(NullController)
         targets = profile_targets(cfg)
+
+        def no_profiling(cfg):
+            raise AssertionError("run_experiment profiled despite explicit targets")
+
+        monkeypatch.setattr("repro.experiments.harness.profile_targets", no_profiling)
         res = run_experiment(cfg, targets=targets)
-        assert res.targets is targets
+        # The run resolves replica names through its own copy; the
+        # caller's (possibly shared) targets are left untouched.
+        assert res.targets is not targets
+        assert res.targets == targets

@@ -4,7 +4,7 @@ A crash takes down *one replica*, not the service: the LB's health
 filter steers traffic to the survivors while the crashed replica is
 down, only the crashed replica's in-flight work is killed, and the RPC
 layer's retries land on a surviving replica — so a replicated service
-rides out a crash that costs the unreplicated deployment a visible
+rides out a crash that costs the single-replica deployment a visible
 error burst.
 """
 
@@ -76,26 +76,26 @@ class TestCrashOneReplicaDirect:
 
 class TestCrashDuringSurgeReplicated:
     def test_retries_land_on_the_surviving_replica(self):
-        """The matrix's crash-during-surge cell, unreplicated vs two
+        """The matrix's crash-during-surge cell, one replica vs two
         replicas: with a survivor in the set, timed-out attempts retry
         onto it instead of dying against a dead socket."""
         (cell,) = fault_matrix(
             controllers=["surgeguard"], scenarios=["crash-during-surge"]
         )
         clear_profile_cache()
-        unreplicated = run_experiment(cell.config)
+        single = run_experiment(cell.config)
         clear_profile_cache()
         replicated = run_experiment(
             dataclasses.replace(cell.config, replicas=2, replica_capacity=2)
         )
 
-        for res in (unreplicated, replicated):
+        for res in (single, replicated):
             assert res.fault_stats is not None
             assert res.fault_stats["crashes"] == 1
 
-        # The unreplicated run eats a real error burst; the replicated
+        # The single-replica run eats a real error burst; the replicated
         # one absorbs the same crash almost entirely.
-        assert unreplicated.errors > 0
-        assert replicated.errors < unreplicated.errors
-        assert replicated.error_rate < 0.5 * unreplicated.error_rate
+        assert single.errors > 0
+        assert replicated.errors < single.errors
+        assert replicated.error_rate < 0.5 * single.error_rate
         assert replicated.summary.count > 0

@@ -12,6 +12,11 @@ lazily-cancelled entries, an exact live count also pins the engine's
 cancelled-entry ledger.  A peek must return the earliest live time (or
 ``math.inf``) and be read-only: the same program with its peeks removed
 fires the same events and leaves the same per-op trace.
+
+The same programs also run on a simulator that compacts on every
+cancel that leaves cancelled entries in the majority, so the
+compaction path and its ledger reset are checked on every draw rather
+than only after hundreds of cancels.
 """
 
 import bisect
@@ -141,10 +146,14 @@ def _execute(ops, sim):
     return log, trace, peeks
 
 
-@given(_ops)
-@settings(max_examples=200, deadline=None)
-def test_heap_simulator_matches_reference_model(ops):
-    sim = Simulator()
+class _EagerCompactSimulator(Simulator):
+    """Compacts as soon as cancelled entries outnumber live ones."""
+
+    _COMPACT_MIN = 1
+
+
+def _check_against_model(ops, make_sim):
+    sim = make_sim()
     got_log, got_trace, got_peeks = _execute(ops, sim)
     want_log, want_trace, want_peeks = _execute(ops, _ModelSim())
     assert got_log == want_log
@@ -152,7 +161,19 @@ def test_heap_simulator_matches_reference_model(ops):
     assert got_peeks == want_peeks
     assert sim.events_pending == 0
     unpeeked_log, unpeeked_trace, _ = _execute(
-        [op for op in ops if op[0] != "peek"], Simulator()
+        [op for op in ops if op[0] != "peek"], make_sim()
     )
     assert unpeeked_log == got_log
     assert unpeeked_trace == got_trace
+
+
+@given(_ops)
+@settings(max_examples=200, deadline=None)
+def test_heap_simulator_matches_reference_model(ops):
+    _check_against_model(ops, Simulator)
+
+
+@given(_ops)
+@settings(max_examples=200, deadline=None)
+def test_eager_compaction_matches_reference_model(ops):
+    _check_against_model(ops, _EagerCompactSimulator)

@@ -125,6 +125,15 @@ class TestCancellation:
         assert sim.events_fired == 50_000
         assert peak[0] < 5_000
 
+    def test_compacting_cancel_keeps_the_live_count_exact(self):
+        class EagerSimulator(Simulator):
+            _COMPACT_MIN = 1
+
+        sim = EagerSimulator()
+        sim.schedule(1.0, lambda: None).cancel()  # compacts right away
+        assert sim.events_pending == 0
+        assert sim.live_events_pending == 0
+
 
 class TestRun:
     def test_run_until_stops_and_sets_clock(self, sim):
