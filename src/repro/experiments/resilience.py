@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.experiments.harness import run_experiment
-from repro.validate.scenarios import fault_matrix
+from repro.validate.scenarios import matrix
 
 __all__ = ["ResilienceRow", "run_resilience"]
 
@@ -40,7 +40,7 @@ class ResilienceRow:
 def run_resilience() -> List[ResilienceRow]:
     """Run the 3×3 fault grid and tabulate violations vs errors."""
     rows: List[ResilienceRow] = []
-    for cell in fault_matrix():
+    for cell in matrix("faults"):
         res = run_experiment(cell.config)
         stats = res.fault_stats or {}
         rows.append(

@@ -29,12 +29,13 @@ from repro.validate.monitors import (
     default_monitors,
 )
 from repro.validate.fingerprint import fingerprint_diff, scenario_fingerprint
-from repro.validate.scenarios import Scenario, scenario_matrix
+from repro.validate.scenarios import FAMILIES, Scenario, matrix
 from repro.validate.runner import run_matrix
 
 __all__ = [
     "CoreFeasibilityMonitor",
     "EscalatorSanityMonitor",
+    "FAMILIES",
     "FrequencyBoundsMonitor",
     "InvariantMonitor",
     "InvariantViolation",
@@ -44,7 +45,7 @@ __all__ = [
     "TraceCausalityMonitor",
     "default_monitors",
     "fingerprint_diff",
+    "matrix",
     "run_matrix",
     "scenario_fingerprint",
-    "scenario_matrix",
 ]

@@ -14,37 +14,16 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.validate.runner import run_matrix
-from repro.validate.scenarios import (
-    CONTROLLERS,
-    FAULT_CONTROLLERS,
-    FAULT_SCENARIOS,
-    HORIZONTAL_CONTROLLERS,
-    HORIZONTAL_SCENARIOS,
-    MULTINODE_CONTROLLERS,
-    MULTINODE_SCENARIOS,
-    SCENARIOS,
-    WORKLOADS,
-    ZOO_CONTROLLERS,
-    ZOO_SCENARIOS,
-    fault_matrix,
-    horizontal_matrix,
-    multinode_matrix,
-    scenario_matrix,
-    zoo_matrix,
-)
+from repro.validate.scenarios import FAMILIES, WORKLOADS, matrix
 
-#: ``--family`` name -> (matrix builder, its controllers, its scenarios),
-#: in matrix order.
-_FAMILY_TABLE = {
-    "base": (scenario_matrix, CONTROLLERS, SCENARIOS),
-    "faults": (fault_matrix, FAULT_CONTROLLERS, FAULT_SCENARIOS),
-    "horizontal": (horizontal_matrix, HORIZONTAL_CONTROLLERS, HORIZONTAL_SCENARIOS),
-    "zoo": (zoo_matrix, ZOO_CONTROLLERS, ZOO_SCENARIOS),
-    "multinode": (multinode_matrix, MULTINODE_CONTROLLERS, MULTINODE_SCENARIOS),
-}
 
-#: Cell-family names accepted by ``--family`` (in matrix order).
-FAMILIES = tuple(_FAMILY_TABLE)
+#: Filter flag of each :class:`~repro.validate.scenarios.Family` axis.
+_FLAGS = {"workloads": "--workload", "controllers": "--controller", "scenarios": "--scenario"}
+
+
+def _union(axis: str) -> tuple:
+    """Every family's names on one axis, deduplicated, in matrix order."""
+    return tuple(dict.fromkeys(n for fam in FAMILIES.values() for n in getattr(fam, axis)))
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
@@ -60,25 +39,15 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         help="restrict to a workload family (repeatable)",
     )
     parser.add_argument(
-        "--controller", action="append",
-        choices=CONTROLLERS + HORIZONTAL_CONTROLLERS + ZOO_CONTROLLERS,
+        "--controller", action="append", choices=_union("controllers"),
         help="restrict to a controller (repeatable)",
     )
     parser.add_argument(
-        "--scenario", action="append",
-        choices=tuple(
-            dict.fromkeys(
-                SCENARIOS
-                + FAULT_SCENARIOS
-                + HORIZONTAL_SCENARIOS
-                + ZOO_SCENARIOS
-                + MULTINODE_SCENARIOS
-            )
-        ),
+        "--scenario", action="append", choices=_union("scenarios"),
         help="restrict to a traffic shape or fault scenario (repeatable)",
     )
     parser.add_argument(
-        "--family", action="append", choices=FAMILIES,
+        "--family", action="append", choices=tuple(FAMILIES),
         help="restrict to a cell family (repeatable)",
     )
     parser.add_argument(
@@ -94,39 +63,32 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     )
     args = parser.parse_args(list(argv) if argv is not None else None)
 
-    # The families share the filter flags: each family keeps the
-    # controller / scenario names it recognises (a fault-only filter
-    # yields no base cells and vice versa), and fault cells exist only
-    # for the chain workload and its controller subset.
-    families = FAMILIES if args.family is None else args.family
+    # The families share the filter flags: each family keeps the names
+    # it recognises (a fault-only filter yields no base cells and vice
+    # versa, and only chain has fault cells).
+    filters = {
+        "workloads": args.workload,
+        "controllers": args.controller,
+        "scenarios": args.scenario,
+    }
     cells = []
     empty = []  # why each selected family contributed no cell
-    for family, (build, known_ctrls, known_shapes) in _FAMILY_TABLE.items():
-        if family not in families:
+    for name, fam in FAMILIES.items():
+        if args.family is not None and name not in args.family:
             continue
-        ctrls = shapes = None
-        if args.controller is not None:
-            ctrls = [c for c in args.controller if c in known_ctrls]
-        if args.scenario is not None:
-            shapes = [s for s in args.scenario if s in known_shapes]
-        if family == "faults":
-            if args.workload is not None and "chain" not in args.workload:
-                empty.append("faults: cells exist only for --workload chain")
-                continue
-            got = build(controllers=ctrls, scenarios=shapes)
-        else:
-            got = build(workloads=args.workload, controllers=ctrls, scenarios=shapes)
+        picked = {
+            axis: [n for n in given if n in getattr(fam, axis)]
+            for axis, given in filters.items()
+            if given is not None
+        }
+        got = matrix(name, **picked)
         if not got:
-            why = []
-            if ctrls == []:
-                why.append(
-                    f"--controller {args.controller} names none of {list(known_ctrls)}"
-                )
-            if shapes == []:
-                why.append(
-                    f"--scenario {args.scenario} names none of {list(known_shapes)}"
-                )
-            empty.append(f"{family}: " + "; ".join(why))
+            why = [
+                f"{_FLAGS[axis]} {filters[axis]} names none of {list(getattr(fam, axis))}"
+                for axis, kept in picked.items()
+                if not kept
+            ]
+            empty.append(f"{name}: " + "; ".join(why))
         cells += got
     if not cells:
         print("no matrix cell matches the filters:", file=sys.stderr)

@@ -9,9 +9,11 @@ here first), and the controller's action counters.
 
 Comparison is **exact** — the simulator is deterministic and the fast
 lane's contract is bit-identical results, so an ``==`` mismatch is
-signal, not noise (the same policy the golden packet-fastlane tests
-use).  JSON round-trips float64 exactly via ``repr``, so committed
-goldens compare clean.
+signal, not noise.  JSON round-trips float64 exactly via ``repr``, so
+committed goldens compare clean.  When a cell does drift,
+:func:`drift_summary` says whether only float rounding moved or a
+discrete outcome (an event count, a controller action, an allocation)
+changed with it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, List
 
 from repro.experiments.harness import ExperimentResult
 
-__all__ = ["fingerprint_diff", "scenario_fingerprint"]
+__all__ = ["drift_summary", "fingerprint_diff", "scenario_fingerprint"]
 
 
 def scenario_fingerprint(result: ExperimentResult, sim, cluster) -> dict:
@@ -29,6 +31,7 @@ def scenario_fingerprint(result: ExperimentResult, sim, cluster) -> dict:
     fp = {
         "violation_volume": result.summary.violation_volume,
         "violation_duration": result.summary.violation_duration,
+        "p98": result.summary.p98,
         "p99": result.summary.p99,
         "completed": result.summary.count,
         "outstanding": result.outstanding,
@@ -83,3 +86,36 @@ def fingerprint_diff(golden: dict, observed: dict) -> List[str]:
         elif g[path] != o[path]:
             diffs.append(f"{path}: {g[path]!r} != {o[path]!r}")
     return diffs
+
+
+def _is_discrete(path: str, value) -> bool:
+    # Counts are ints; allocations and frequencies are floats, but each
+    # one is a controller's setting, so any move is a decision.
+    return isinstance(value, int) or path.startswith(("final_alloc.", "final_freq."))
+
+
+def drift_summary(golden: dict, observed: dict) -> str:
+    """One line sorting a drifted cell into rounding or decision drift.
+
+    Gives the largest relative change among the float fields both sides
+    hold, the names of the discrete fields that moved, and a verdict:
+    ``rounding only`` when no discrete field moved, else ``decision
+    changed``.  Fields present on one side only are left to
+    :func:`fingerprint_diff`.
+    """
+    g = dict(_flatten("", golden))
+    o = dict(_flatten("", observed))
+    moved, rel = [], 0.0
+    for path in sorted(set(g) & set(o)):
+        a, b = g[path], o[path]
+        if a == b:
+            continue
+        if _is_discrete(path, a) or _is_discrete(path, b):
+            moved.append(path)
+        else:
+            rel = max(rel, abs(b - a) / abs(a) if a else float("inf"))
+    verdict = "decision changed" if moved else "rounding only"
+    return (
+        f"max float rel change {rel:.3g}; "
+        f"discrete fields moved: {', '.join(moved) or 'none'}; {verdict}"
+    )

@@ -16,16 +16,13 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.experiments.harness import clear_profile_cache, run_experiment
-from repro.validate.fingerprint import fingerprint_diff, scenario_fingerprint
-from repro.validate.monitors import MonitorSet
-from repro.validate.scenarios import (
-    Scenario,
-    fault_matrix,
-    horizontal_matrix,
-    multinode_matrix,
-    scenario_matrix,
-    zoo_matrix,
+from repro.validate.fingerprint import (
+    drift_summary,
+    fingerprint_diff,
+    scenario_fingerprint,
 )
+from repro.validate.monitors import MonitorSet
+from repro.validate.scenarios import FAMILIES, Scenario, matrix
 
 __all__ = ["CellOutcome", "MatrixReport", "golden_path", "run_matrix"]
 
@@ -61,6 +58,8 @@ class CellOutcome:
     seconds: float
     #: True when no committed golden exists for this cell yet.
     golden_missing: bool = False
+    #: :func:`drift_summary` of a drifted cell, empty on a match.
+    drift: str = ""
 
     @property
     def ok(self) -> bool:
@@ -124,13 +123,7 @@ def run_matrix(
     rewritten — a filtered run updates a filtered set).
     """
     if cells is None:
-        cells = (
-            scenario_matrix()
-            + fault_matrix()
-            + horizontal_matrix()
-            + zoo_matrix()
-            + multinode_matrix()
-        )
+        cells = [cell for family in FAMILIES for cell in matrix(family)]
     goldens = load_goldens(golden_file)
     report = MatrixReport()
     # Profiling is memoized per workload — clear once up front so the
@@ -146,6 +139,8 @@ def run_matrix(
                 outcome.golden_missing = True
             else:
                 outcome.diffs = fingerprint_diff(golden, outcome.fingerprint)
+                if outcome.diffs:
+                    outcome.drift = drift_summary(golden, outcome.fingerprint)
         report.outcomes.append(outcome)
         if verbose:
             _print_cell(outcome)
@@ -179,6 +174,8 @@ def _print_cell(c: CellOutcome) -> None:
         print(f"    violation: {v}")
     for d in c.diffs:
         print(f"    drift: {d}")
+    if c.drift:
+        print(f"    summary: {c.drift}")
 
 
 def _print_summary(report: MatrixReport) -> None:

@@ -1,21 +1,25 @@
 """The differential scenario matrix: workloads × controllers × scenarios.
 
 One scaled representative per paper workload family ({CHAIN,
-socialNetwork, hotelReservation}), crossed with the null baseline, full
-SurgeGuard, and the two strongest baselines (Parties, CaladanAlgo),
-under three traffic shapes:
+socialNetwork, hotelReservation}) runs in every cell family of
+:data:`FAMILIES`; one builder, :func:`matrix`, crosses a family's
+workloads, controllers and scenarios in that order.
 
-* ``steady`` — base rate only, no disturbance;
-* ``rate-spike`` — the §VI-B periodic request-rate surges;
-* ``latency-surge`` — the abstract's second surge type, injected through
+* ``base`` — the null baseline, full SurgeGuard, and the two strongest
+  baselines (Parties, CaladanAlgo) under three traffic shapes:
+  ``steady`` (base rate only), ``rate-spike`` (the §VI-B periodic
+  request-rate surges) and ``latency-surge`` (the abstract's second
+  surge type, injected through
   :meth:`repro.cluster.network.Network.add_latency_surge` via the
-  harness's ``latency_surges`` config.
+  harness's ``latency_surges`` config);
+* ``faults`` — fault plans with RPC resilience (chain only);
+* ``horizontal`` — replicas behind the load balancer;
+* ``zoo`` — the plugin controllers;
+* ``multinode`` — 4 nodes at one replica per service, on a jitter-free
+  fabric;
+* ``standard`` — SurgeGuard under 1.75× surges at seeds 3–5 on one and
+  two nodes, one cell per seed.
 
-Four more families ride along, each from its own ``*_matrix`` builder:
-``faults`` (fault plans with RPC resilience), ``horizontal`` (replicas
-behind the load balancer), ``zoo`` (the plugin controllers) and
-``multinode`` (4 nodes at one replica per service, on a jitter-free
-fabric).
 Every cell is one event loop in one process.
 
 Durations are deliberately small (a cell runs in seconds) — this matrix
@@ -26,8 +30,8 @@ the committed goldens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.network import NetworkConfig
 from repro.exec.specs import spec
@@ -40,25 +44,7 @@ from repro.faults.plan import (
     RpcPolicy,
 )
 
-__all__ = [
-    "CONTROLLERS",
-    "FAULT_CONTROLLERS",
-    "FAULT_SCENARIOS",
-    "HORIZONTAL_CONTROLLERS",
-    "HORIZONTAL_SCENARIOS",
-    "MULTINODE_CONTROLLERS",
-    "MULTINODE_SCENARIOS",
-    "SCENARIOS",
-    "WORKLOADS",
-    "ZOO_CONTROLLERS",
-    "ZOO_SCENARIOS",
-    "Scenario",
-    "fault_matrix",
-    "horizontal_matrix",
-    "multinode_matrix",
-    "scenario_matrix",
-    "zoo_matrix",
-]
+__all__ = ["FAMILIES", "WORKLOADS", "Family", "Scenario", "matrix"]
 
 #: Matrix workloads: registry key per paper workload family.
 WORKLOADS: Dict[str, str] = {
@@ -66,12 +52,6 @@ WORKLOADS: Dict[str, str] = {
     "socialNetwork": "readUserTimeline",
     "hotelReservation": "searchHotel",
 }
-
-#: Matrix controllers (spec-registry names — picklable and stable).
-CONTROLLERS: Tuple[str, ...] = ("null", "surgeguard", "parties", "caladan")
-
-#: Matrix traffic shapes.
-SCENARIOS: Tuple[str, ...] = ("steady", "rate-spike", "latency-surge")
 
 #: Shared cell timing: measurement [warmup, warmup+duration), then drain.
 _BASE = dict(
@@ -81,6 +61,9 @@ _BASE = dict(
     drain=1.0,
     seed=11,
 )
+
+#: The periodic rate surge shared by every surge-shaped cell.
+_SPIKE = dict(spike_magnitude=2.0, spike_len=0.5, spike_period=2.0, spike_offset=0.25)
 
 
 @dataclass(frozen=True)
@@ -99,41 +82,40 @@ class Scenario:
         return f"{self.workload_family}/{self.controller}/{self.scenario}"
 
 
-def _cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        workload=workload_key,
-        controller_factory=spec(controller),
-        spike_magnitude=None,
-        **_BASE,
+@dataclass(frozen=True)
+class Family:
+    """One cell family: the names it crosses and the config of a cell."""
+
+    workloads: Tuple[str, ...]
+    controllers: Tuple[str, ...]
+    scenarios: Tuple[str, ...]
+    #: ``(workload_key, controller, scenario) -> ExperimentConfig``.
+    config: Callable[[str, str, str], ExperimentConfig]
+    #: Qualifier in unknown-name errors ("unknown fault scenario ...").
+    label: str = ""
+
+
+def _config(workload_key: str, controller: str, **overrides) -> ExperimentConfig:
+    """A cell on the shared timing, steady unless ``overrides`` say otherwise."""
+    fields = dict(
+        _BASE, workload=workload_key, controller_factory=spec(controller), spike_magnitude=None
     )
+    fields.update(overrides)
+    return ExperimentConfig(**fields)
+
+
+def _base_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
     if scenario == "steady":
-        return cfg
+        return _config(workload_key, controller)
     if scenario == "rate-spike":
-        return replace(
-            cfg,
-            spike_magnitude=2.0,
-            spike_len=0.5,
-            spike_period=2.0,
-            spike_offset=0.25,
-        )
+        return _config(workload_key, controller, **_SPIKE)
     if scenario == "latency-surge":
         # 2 ms extra per hop for half a second, mid-measurement — an
         # order of magnitude over the base inter-node hop latency.
         t0 = _BASE["warmup"] + 0.5
-        return replace(cfg, latency_surges=((t0, t0 + 0.5, 2e-3),))
+        return _config(workload_key, controller, latency_surges=((t0, t0 + 0.5, 2e-3),))
     raise ValueError(f"unknown scenario {scenario!r}")
 
-
-#: Fault-family controllers (the resilience comparison set: no control,
-#: the paper's system, and the strongest reactive baseline).
-FAULT_CONTROLLERS: Tuple[str, ...] = ("null", "surgeguard", "parties")
-
-#: Fault-family scenarios (see :mod:`repro.faults`).
-FAULT_SCENARIOS: Tuple[str, ...] = (
-    "loss-burst",
-    "crash-during-surge",
-    "stalled-controller",
-)
 
 #: Shared fault-cell RPC policy.  The 250 ms timeout sits far above the
 #: steady-state latency tail (~8 ms end-to-end) but inside the worst
@@ -153,57 +135,27 @@ _FAULT_RPC = RpcPolicy(
     retry_burst=50.0,
 )
 
-#: The periodic rate surge shared by the crash / stall fault cells
-#: (identical shape to the ``rate-spike`` scenario).
-_SPIKE = dict(spike_magnitude=2.0, spike_len=0.5, spike_period=2.0, spike_offset=0.25)
-
 
 def _fault_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        workload=workload_key,
-        controller_factory=spec(controller),
-        spike_magnitude=None,
-        **_BASE,
-    )
     if scenario == "loss-burst":
         # 30% loss for the middle half-second of measurement, steady
         # rate: transport errors hit every controller identically; how
         # fast the post-burst backlog drains is the differential.
-        return replace(
-            cfg,
-            drain=2.0,
-            faults=FaultPlan(loss_windows=(LossWindow(1.5, 2.0, 0.3),), rpc=_FAULT_RPC),
-        )
+        plan = FaultPlan(loss_windows=(LossWindow(1.5, 2.0, 0.3),), rpc=_FAULT_RPC)
+        return _config(workload_key, controller, drain=2.0, faults=plan)
     if scenario == "crash-during-surge":
         # The mid-chain service dies at the peak of the first surge and
         # comes back 300 ms later.
-        return replace(
-            cfg,
-            drain=2.0,
-            faults=FaultPlan(
-                crashes=(ContainerCrash("chain3", 1.4, 0.3),), rpc=_FAULT_RPC
-            ),
-            **_SPIKE,
-        )
+        plan = FaultPlan(crashes=(ContainerCrash("chain3", 1.4, 0.3),), rpc=_FAULT_RPC)
+        return _config(workload_key, controller, drain=2.0, faults=plan, **_SPIKE)
     if scenario == "stalled-controller":
         # The decision loop is wedged across a full surge: reactive
         # controllers cannot respond for 1.2 s; SurgeGuard's data-plane
         # FirstResponder keeps running (it is not a decision cycle).
-        return replace(
-            cfg,
-            drain=2.0,
-            faults=FaultPlan(stalls=(ControllerStall(1.0, 2.2),), rpc=_FAULT_RPC),
-            **_SPIKE,
-        )
+        plan = FaultPlan(stalls=(ControllerStall(1.0, 2.2),), rpc=_FAULT_RPC)
+        return _config(workload_key, controller, drain=2.0, faults=plan, **_SPIKE)
     raise ValueError(f"unknown fault scenario {scenario!r}")
 
-
-#: Horizontal-family controllers: the replica autoscaler alone and the
-#: §VII hybrid (HPA + SurgeGuard) that bridges its launch gap.
-HORIZONTAL_CONTROLLERS: Tuple[str, ...] = ("hpa", "hybrid")
-
-#: Horizontal-family scenarios.
-HORIZONTAL_SCENARIOS: Tuple[str, ...] = ("replica-surge",)
 
 #: HPA knobs for the horizontal cells.  The tight interval and short
 #: launch delay make the autoscaler actually fire inside a 2 s
@@ -219,92 +171,31 @@ _HPA_CELL = dict(
 
 
 def _horizontal_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
-    if scenario not in HORIZONTAL_SCENARIOS:
-        raise ValueError(f"unknown horizontal scenario {scenario!r}")
-    return ExperimentConfig(
-        workload=workload_key,
+    # Replicas are real here: start at 1 per service behind the LB,
+    # with node budget sized to host the autoscaler's max.
+    return _config(
+        workload_key,
+        controller,
         controller_factory=spec(controller, **_HPA_CELL),
-        # Replicas are real here: start at 1 per service behind the LB,
-        # with node budget sized to host the autoscaler's max.
         replicas=1,
         lb_policy="round_robin",
         replica_capacity=_HPA_CELL["max_replicas"],
         **_SPIKE,
-        **_BASE,
     )
-
-
-def horizontal_matrix(
-    *,
-    workloads: Optional[List[str]] = None,
-    controllers: Optional[List[str]] = None,
-    scenarios: Optional[List[str]] = None,
-) -> List[Scenario]:
-    """The replica-scaling cells: every workload family × {hpa, hybrid}
-    under the standard periodic surge, with the HPA scaling replicas."""
-    families = list(WORKLOADS) if workloads is None else workloads
-    ctrls = list(HORIZONTAL_CONTROLLERS) if controllers is None else controllers
-    shapes = list(HORIZONTAL_SCENARIOS) if scenarios is None else scenarios
-    cells = []
-    for family in families:
-        try:
-            workload_key = WORKLOADS[family]
-        except KeyError:
-            raise KeyError(
-                f"unknown workload family {family!r}; known: {sorted(WORKLOADS)}"
-            ) from None
-        for controller in ctrls:
-            if controller not in HORIZONTAL_CONTROLLERS:
-                raise KeyError(
-                    f"unknown horizontal controller {controller!r}; "
-                    f"known: {list(HORIZONTAL_CONTROLLERS)}"
-                )
-            for scenario in shapes:
-                if scenario not in HORIZONTAL_SCENARIOS:
-                    raise KeyError(
-                        f"unknown horizontal scenario {scenario!r}; "
-                        f"known: {list(HORIZONTAL_SCENARIOS)}"
-                    )
-                cells.append(
-                    Scenario(
-                        workload_family=family,
-                        workload_key=workload_key,
-                        controller=controller,
-                        scenario=scenario,
-                        config=_horizontal_cell_config(
-                            workload_key, controller, scenario
-                        ),
-                    )
-                )
-    return cells
-
-
-#: Controller-zoo family: the related-work plugins of DESIGN.md §11.
-ZOO_CONTROLLERS: Tuple[str, ...] = ("statuscale", "lsram")
-
-#: Zoo scenarios: the vertical-scaling shapes plus the two-replica
-#: surge, which exercises both plugins on ``svc@k`` replica endpoints
-#: (targets resolved through the replica fallback).
-ZOO_SCENARIOS: Tuple[str, ...] = ("steady", "spike", "replica-surge")
 
 
 def _zoo_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        workload=workload_key,
-        controller_factory=spec(controller),
-        spike_magnitude=None,
-        **_BASE,
-    )
     if scenario == "steady":
-        return cfg
+        return _config(workload_key, controller)
     if scenario == "spike":
-        return replace(cfg, **_SPIKE)
+        return _config(workload_key, controller, **_SPIKE)
     if scenario == "replica-surge":
         # Static 2-replica deployment behind the LB (no horizontal
         # controller): the zoo plugin sizes each replica endpoint
         # vertically while the surge runs.
-        return replace(
-            cfg,
+        return _config(
+            workload_key,
+            controller,
             replicas=2,
             lb_policy="round_robin",
             replica_capacity=2,
@@ -313,184 +204,121 @@ def _zoo_cell_config(workload_key: str, controller: str, scenario: str) -> Exper
     raise ValueError(f"unknown zoo scenario {scenario!r}")
 
 
-def zoo_matrix(
-    *,
-    workloads: Optional[List[str]] = None,
-    controllers: Optional[List[str]] = None,
-    scenarios: Optional[List[str]] = None,
-) -> List[Scenario]:
-    """The controller-zoo cells: every workload family × {statuscale,
-    lsram} × {steady, spike, replica-surge}."""
-    families = list(WORKLOADS) if workloads is None else workloads
-    ctrls = list(ZOO_CONTROLLERS) if controllers is None else controllers
-    shapes = list(ZOO_SCENARIOS) if scenarios is None else scenarios
-    cells = []
-    for family in families:
-        try:
-            workload_key = WORKLOADS[family]
-        except KeyError:
-            raise KeyError(
-                f"unknown workload family {family!r}; known: {sorted(WORKLOADS)}"
-            ) from None
-        for controller in ctrls:
-            if controller not in ZOO_CONTROLLERS:
-                raise KeyError(
-                    f"unknown zoo controller {controller!r}; "
-                    f"known: {list(ZOO_CONTROLLERS)}"
-                )
-            for scenario in shapes:
-                if scenario not in ZOO_SCENARIOS:
-                    raise KeyError(
-                        f"unknown zoo scenario {scenario!r}; "
-                        f"known: {list(ZOO_SCENARIOS)}"
-                    )
-                cells.append(
-                    Scenario(
-                        workload_family=family,
-                        workload_key=workload_key,
-                        controller=controller,
-                        scenario=scenario,
-                        config=_zoo_cell_config(workload_key, controller, scenario),
-                    )
-                )
-    return cells
-
-
-#: Multinode-family controllers: the two strictly per-node ones.
-MULTINODE_CONTROLLERS: Tuple[str, ...] = ("null", "surgeguard")
-
-#: Multinode-family scenarios (distinct names — the keys must not collide
-#: with the base matrix's ``family/controller/steady`` cells).
-MULTINODE_SCENARIOS: Tuple[str, ...] = ("multinode-steady", "multinode-spike")
-
-
 def _multinode_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
     # jitter=0 is what these cells' committed fingerprints were recorded
     # under; turning jitter on would change every one of them.
-    cfg = ExperimentConfig(
-        workload=workload_key,
-        controller_factory=spec(controller),
-        spike_magnitude=None,
-        n_nodes=4,
-        network=NetworkConfig(jitter=0.0),
-        **_BASE,
+    spike = _SPIKE if scenario == "multinode-spike" else {}
+    return _config(
+        workload_key, controller, n_nodes=4, network=NetworkConfig(jitter=0.0), **spike
     )
-    if scenario == "multinode-steady":
-        return cfg
-    if scenario == "multinode-spike":
-        return replace(cfg, **_SPIKE)
-    raise ValueError(f"unknown multinode scenario {scenario!r}")
 
 
-def multinode_matrix(
+def _standard_cell_config(workload_key: str, controller: str, scenario: str) -> ExperimentConfig:
+    # The shape the packet fast lane was pinned at: 1.75x surges and a
+    # short drain, one cell per seed.  A 3-rep run_cell from seed 3 has
+    # trim-1 means equal to the median of the seed 3/4/5 cells.
+    return _config(
+        workload_key,
+        controller,
+        **dict(_SPIKE, spike_magnitude=1.75),
+        drain=0.5,
+        seed=int(scenario.rsplit("-s", 1)[1]),
+        n_nodes=2 if "-2nodes-" in scenario else 1,
+    )
+
+
+#: Every cell family, in matrix order.
+FAMILIES: Dict[str, Family] = {
+    "base": Family(
+        workloads=tuple(WORKLOADS),
+        controllers=("null", "surgeguard", "parties", "caladan"),
+        scenarios=("steady", "rate-spike", "latency-surge"),
+        config=_base_cell_config,
+    ),
+    # The resilience comparison set (no control, the paper's system, the
+    # strongest reactive baseline), chain only: the crash target is a
+    # mid-chain service, and one workload keeps the family cheap.
+    "faults": Family(
+        workloads=("chain",),
+        controllers=("null", "surgeguard", "parties"),
+        scenarios=("loss-burst", "crash-during-surge", "stalled-controller"),
+        config=_fault_cell_config,
+        label="fault",
+    ),
+    # The replica autoscaler alone and the §VII hybrid (HPA + SurgeGuard)
+    # that bridges its launch gap, under the standard periodic surge.
+    "horizontal": Family(
+        workloads=tuple(WORKLOADS),
+        controllers=("hpa", "hybrid"),
+        scenarios=("replica-surge",),
+        config=_horizontal_cell_config,
+        label="horizontal",
+    ),
+    # The related-work plugins of DESIGN.md §11 under the vertical
+    # shapes plus a two-replica surge on ``svc@k`` replica endpoints
+    # (targets resolved through the replica fallback).
+    "zoo": Family(
+        workloads=tuple(WORKLOADS),
+        controllers=("statuscale", "lsram"),
+        scenarios=("steady", "spike", "replica-surge"),
+        config=_zoo_cell_config,
+        label="zoo",
+    ),
+    # The two strictly per-node controllers.  Scenario names are
+    # distinct so keys never collide with ``family/controller/steady``.
+    "multinode": Family(
+        workloads=tuple(WORKLOADS),
+        controllers=("null", "surgeguard"),
+        scenarios=("multinode-steady", "multinode-spike"),
+        config=_multinode_cell_config,
+        label="multinode",
+    ),
+    # SurgeGuard at seeds 3-5 on one and two nodes: the reference runs
+    # of the packet-path fast lane.
+    "standard": Family(
+        workloads=tuple(WORKLOADS),
+        controllers=("surgeguard",),
+        scenarios=tuple(
+            f"standard{nodes}-s{seed}" for nodes in ("", "-2nodes") for seed in (3, 4, 5)
+        ),
+        config=_standard_cell_config,
+        label="standard",
+    ),
+}
+
+
+def _pick(
+    names: Optional[Sequence[str]], known: Tuple[str, ...], what: str, shown: list
+) -> List[str]:
+    if names is None:
+        return list(known)
+    for name in names:
+        if name not in known:
+            raise KeyError(f"unknown {what} {name!r}; known: {shown}")
+    return list(names)
+
+
+def matrix(
+    family: str,
     *,
-    workloads: Optional[List[str]] = None,
-    controllers: Optional[List[str]] = None,
-    scenarios: Optional[List[str]] = None,
+    workloads: Optional[Sequence[str]] = None,
+    controllers: Optional[Sequence[str]] = None,
+    scenarios: Optional[Sequence[str]] = None,
 ) -> List[Scenario]:
-    """The multi-node cells: every workload family × {null, surgeguard}
-    × {steady, spike} on a 4-node, jitter-free fabric, at one replica
-    per service (the only multi-node cells in the matrix)."""
-    families = list(WORKLOADS) if workloads is None else workloads
-    ctrls = list(MULTINODE_CONTROLLERS) if controllers is None else controllers
-    shapes = list(MULTINODE_SCENARIOS) if scenarios is None else scenarios
-    cells = []
-    for family in families:
-        try:
-            workload_key = WORKLOADS[family]
-        except KeyError:
-            raise KeyError(
-                f"unknown workload family {family!r}; known: {sorted(WORKLOADS)}"
-            ) from None
-        for controller in ctrls:
-            if controller not in MULTINODE_CONTROLLERS:
-                raise KeyError(
-                    f"unknown multinode controller {controller!r}; "
-                    f"known: {list(MULTINODE_CONTROLLERS)}"
-                )
-            for scenario in shapes:
-                if scenario not in MULTINODE_SCENARIOS:
-                    raise KeyError(
-                        f"unknown multinode scenario {scenario!r}; "
-                        f"known: {list(MULTINODE_SCENARIOS)}"
-                    )
-                cells.append(
-                    Scenario(
-                        workload_family=family,
-                        workload_key=workload_key,
-                        controller=controller,
-                        scenario=scenario,
-                        config=_multinode_cell_config(workload_key, controller, scenario),
-                    )
-                )
-    return cells
-
-
-def fault_matrix(
-    *,
-    controllers: Optional[List[str]] = None,
-    scenarios: Optional[List[str]] = None,
-) -> List[Scenario]:
-    """The fault-injection cells (chain family only — the crash target
-    is a mid-chain service, and one family keeps the matrix cheap)."""
-    ctrls = list(FAULT_CONTROLLERS) if controllers is None else controllers
-    shapes = list(FAULT_SCENARIOS) if scenarios is None else scenarios
-    cells = []
-    for controller in ctrls:
-        if controller not in FAULT_CONTROLLERS:
-            raise KeyError(
-                f"unknown fault controller {controller!r}; "
-                f"known: {list(FAULT_CONTROLLERS)}"
-            )
-        for scenario in shapes:
-            if scenario not in FAULT_SCENARIOS:
-                raise KeyError(
-                    f"unknown fault scenario {scenario!r}; "
-                    f"known: {list(FAULT_SCENARIOS)}"
-                )
-            cells.append(
-                Scenario(
-                    workload_family="chain",
-                    workload_key=WORKLOADS["chain"],
-                    controller=controller,
-                    scenario=scenario,
-                    config=_fault_cell_config(WORKLOADS["chain"], controller, scenario),
-                )
-            )
-    return cells
-
-
-def scenario_matrix(
-    *,
-    workloads: Optional[List[str]] = None,
-    controllers: Optional[List[str]] = None,
-    scenarios: Optional[List[str]] = None,
-) -> List[Scenario]:
-    """Build the (optionally filtered) scenario list in stable order."""
-    families = list(WORKLOADS) if workloads is None else workloads
-    ctrls = list(CONTROLLERS) if controllers is None else controllers
-    shapes = list(SCENARIOS) if scenarios is None else scenarios
-    cells = []
-    for family in families:
-        try:
-            workload_key = WORKLOADS[family]
-        except KeyError:
-            raise KeyError(
-                f"unknown workload family {family!r}; known: {sorted(WORKLOADS)}"
-            ) from None
-        for controller in ctrls:
-            for scenario in shapes:
-                if scenario not in SCENARIOS:
-                    raise KeyError(
-                        f"unknown scenario {scenario!r}; known: {list(SCENARIOS)}"
-                    )
-                cells.append(
-                    Scenario(
-                        workload_family=family,
-                        workload_key=workload_key,
-                        controller=controller,
-                        scenario=scenario,
-                        config=_cell_config(workload_key, controller, scenario),
-                    )
-                )
-    return cells
+    """Build one family's (optionally filtered) cells in stable order:
+    workload, then controller, then scenario.  Unknown names raise
+    :class:`KeyError`."""
+    try:
+        fam = FAMILIES[family]
+    except KeyError:
+        raise KeyError(f"unknown family {family!r}; known: {list(FAMILIES)}") from None
+    kind = f"{fam.label} " if fam.label else ""
+    wls = _pick(workloads, fam.workloads, "workload family", sorted(fam.workloads))
+    ctrls = _pick(controllers, fam.controllers, f"{kind}controller", list(fam.controllers))
+    shapes = _pick(scenarios, fam.scenarios, f"{kind}scenario", list(fam.scenarios))
+    return [
+        Scenario(w, WORKLOADS[w], c, s, fam.config(WORKLOADS[w], c, s))
+        for w in wls
+        for c in ctrls
+        for s in shapes
+    ]

@@ -4,7 +4,9 @@ import pytest
 
 from repro.experiments.resilience import ResilienceRow, run_resilience
 from repro.experiments import resilience
-from repro.validate.scenarios import FAULT_CONTROLLERS, FAULT_SCENARIOS
+from repro.validate.scenarios import FAMILIES
+
+FAULTS = FAMILIES["faults"]
 
 
 class TestRendering:
@@ -35,10 +37,10 @@ class TestRendering:
 class TestFullGrid:
     def test_grid_covers_matrix_and_surgeguard_wins(self):
         rows = run_resilience()
-        assert len(rows) == len(FAULT_CONTROLLERS) * len(FAULT_SCENARIOS)
+        assert len(rows) == len(FAULTS.controllers) * len(FAULTS.scenarios)
         by_cell = {(r.scenario, r.controller): r for r in rows}
         assert set(by_cell) == {
-            (s, c) for s in FAULT_SCENARIOS for c in FAULT_CONTROLLERS
+            (s, c) for s in FAULTS.scenarios for c in FAULTS.controllers
         }
         for r in rows:
             assert 0.0 <= r.error_rate <= 1.0
@@ -46,7 +48,7 @@ class TestFullGrid:
         # The paper's qualitative claim under faults: SurgeGuard never
         # does worse than the no-op baseline on violation volume, and
         # strictly better where the control loop matters.
-        for s in FAULT_SCENARIOS:
+        for s in FAULTS.scenarios:
             sg = by_cell[(s, "surgeguard")]
             null = by_cell[(s, "null")]
             assert sg.violation_volume <= null.violation_volume, s

@@ -209,11 +209,11 @@ class TestFaultFreeIdentity:
         from repro.experiments.harness import run_experiment
         from repro.validate.fingerprint import scenario_fingerprint
         from repro.validate.runner import load_goldens
-        from repro.validate.scenarios import scenario_matrix
+        from repro.validate.scenarios import matrix
 
-        cell = scenario_matrix(
-            workloads=["chain"], controllers=["null"], scenarios=["steady"]
-        )[0]
+        (cell,) = matrix(
+            "base", workloads=["chain"], controllers=["null"], scenarios=["steady"]
+        )
         captured = {}
 
         def probe(sim, cluster):

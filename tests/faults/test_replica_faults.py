@@ -12,7 +12,7 @@ import dataclasses
 
 from repro.faults import ContainerCrash, FaultInjector, FaultPlan, RpcPolicy
 from repro.experiments.harness import clear_profile_cache, run_experiment
-from repro.validate.scenarios import fault_matrix
+from repro.validate.scenarios import matrix
 from tests.conftest import drive_cluster, make_chain_app
 
 RPC = RpcPolicy(timeout=20e-3, max_retries=1, backoff_base=2e-3)
@@ -79,8 +79,8 @@ class TestCrashDuringSurgeReplicated:
         """The matrix's crash-during-surge cell, one replica vs two
         replicas: with a survivor in the set, timed-out attempts retry
         onto it instead of dying against a dead socket."""
-        (cell,) = fault_matrix(
-            controllers=["surgeguard"], scenarios=["crash-during-surge"]
+        (cell,) = matrix(
+            "faults", controllers=["surgeguard"], scenarios=["crash-during-surge"]
         )
         clear_profile_cache()
         single = run_experiment(cell.config)

@@ -2,10 +2,14 @@
 
 import json
 
-from repro.validate.fingerprint import fingerprint_diff, scenario_fingerprint
+from repro.validate.fingerprint import (
+    drift_summary,
+    fingerprint_diff,
+    scenario_fingerprint,
+)
 from repro.validate.monitors import MonitorSet
 from repro.validate.runner import run_cell_validated
-from repro.validate.scenarios import scenario_matrix
+from repro.validate.scenarios import matrix
 
 
 def small_fp():
@@ -49,15 +53,40 @@ class TestFingerprintDiff:
         assert fingerprint_diff(golden, obs)
 
 
+class TestDriftSummary:
+    def test_float_nudge_is_rounding_only(self):
+        obs = small_fp()
+        obs["p99"] *= 1 + 1e-9
+        summary = drift_summary(small_fp(), obs)
+        assert summary.endswith("rounding only")
+        assert "discrete fields moved: none" in summary
+        assert "max float rel change 1e-09" in summary
+
+    def test_moved_action_count_is_a_decision_change(self):
+        obs = small_fp()
+        obs["p99"] *= 1 + 1e-9
+        obs["controller_actions"]["freq_down"] = 3
+        summary = drift_summary(small_fp(), obs)
+        assert summary.endswith("decision changed")
+        assert "discrete fields moved: controller_actions.freq_down;" in summary
+
+    def test_moved_allocation_is_a_decision_change(self):
+        obs = small_fp()
+        obs["final_alloc"]["b"] = 4.0
+        summary = drift_summary(small_fp(), obs)
+        assert "discrete fields moved: final_alloc.b;" in summary
+        assert "max float rel change 0;" in summary
+
+
 class TestScenarioFingerprint:
     def test_fingerprint_fields_and_json_round_trip(self):
-        cell = scenario_matrix(
-            workloads=["chain"], controllers=["surgeguard"], scenarios=["steady"]
-        )[0]
+        (cell,) = matrix(
+            "base", workloads=["chain"], controllers=["surgeguard"], scenarios=["steady"]
+        )
         outcome = run_cell_validated(cell)
         fp = outcome.fingerprint
         expected_keys = {
-            "violation_volume", "violation_duration", "p99", "completed",
+            "violation_volume", "violation_duration", "p98", "p99", "completed",
             "outstanding", "ingress", "events_fired", "packets_sent",
             "packets_delivered", "final_alloc", "final_freq",
             "controller_actions", "fast_path_packets", "fast_path_violations",
@@ -74,9 +103,9 @@ class TestScenarioFingerprint:
         assert fingerprint_diff(fp, again.fingerprint) == []
 
     def test_run_cell_validated_arms_monitors(self):
-        cell = scenario_matrix(
-            workloads=["chain"], controllers=["null"], scenarios=["steady"]
-        )[0]
+        (cell,) = matrix(
+            "base", workloads=["chain"], controllers=["null"], scenarios=["steady"]
+        )
         outcome = run_cell_validated(cell)
         assert outcome.checks > 0
         assert outcome.violations == []

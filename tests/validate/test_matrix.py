@@ -1,8 +1,7 @@
 """The differential scenario matrix against its committed goldens.
 
-A single cheap cell runs in tier-1; the full-slice comparisons are
-marked ``matrix`` and run in their own CI job (or locally via
-``pytest -m matrix`` / ``python -m repro.validate``).
+A single cheap cell runs in tier-1; the full matrix runs in its own CI
+job (``python -m repro.validate``).
 """
 
 import json
@@ -14,63 +13,61 @@ from repro.validate.runner import (
     load_goldens,
     run_matrix,
 )
-from repro.validate.scenarios import (
-    CONTROLLERS,
-    FAULT_CONTROLLERS,
-    FAULT_SCENARIOS,
-    HORIZONTAL_CONTROLLERS,
-    HORIZONTAL_SCENARIOS,
-    MULTINODE_CONTROLLERS,
-    MULTINODE_SCENARIOS,
-    SCENARIOS,
-    WORKLOADS,
-    ZOO_CONTROLLERS,
-    ZOO_SCENARIOS,
-    fault_matrix,
-    horizontal_matrix,
-    multinode_matrix,
-    scenario_matrix,
-    zoo_matrix,
-)
+from repro.validate.scenarios import FAMILIES, matrix
+
+
+def _keys(*families):
+    return {c.key for family in families for c in matrix(family)}
 
 
 class TestMatrixConstruction:
     def test_full_matrix_shape(self):
-        cells = scenario_matrix()
-        assert len(cells) == len(WORKLOADS) * len(CONTROLLERS) * len(SCENARIOS)
-        assert len({c.key for c in cells}) == len(cells)
+        for name, fam in FAMILIES.items():
+            cells = matrix(name)
+            assert len(cells) == (
+                len(fam.workloads) * len(fam.controllers) * len(fam.scenarios)
+            ), name
+        # Keys are unique across the whole matrix.
+        all_cells = [c for name in FAMILIES for c in matrix(name)]
+        assert len(_keys(*FAMILIES)) == len(all_cells) == 99
 
     def test_filtering(self):
-        cells = scenario_matrix(
-            workloads=["chain"], controllers=["null", "surgeguard"]
-        )
-        assert len(cells) == 2 * len(SCENARIOS)
+        cells = matrix("base", workloads=["chain"], controllers=["null", "surgeguard"])
+        assert len(cells) == 2 * len(FAMILIES["base"].scenarios)
         assert {c.workload_family for c in cells} == {"chain"}
 
     def test_unknown_names_rejected(self):
-        with pytest.raises(KeyError):
-            scenario_matrix(workloads=["nope"])
-        with pytest.raises(KeyError):
-            scenario_matrix(scenarios=["nope"])
+        with pytest.raises(KeyError, match="unknown family"):
+            matrix("nope")
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_filtering_and_rejection(self, family):
+        fam = FAMILIES[family]
+        workload, controller = fam.workloads[-1], fam.controllers[-1]
+        cells = matrix(family, workloads=[workload], controllers=[controller])
+        assert [c.key for c in cells] == [
+            f"{workload}/{controller}/{s}" for s in fam.scenarios
+        ]
+        for axis in ("workloads", "controllers", "scenarios"):
+            with pytest.raises(KeyError, match="'nope'"):
+                matrix(family, **{axis: ["nope"]})
+            # A name only other families own is just as unknown here.
+            known = getattr(fam, axis)
+            foreign = [
+                n for f in FAMILIES.values() for n in getattr(f, axis) if n not in known
+            ]
+            if foreign:
+                with pytest.raises(KeyError, match=repr(foreign[0])):
+                    matrix(family, **{axis: foreign[:1]})
 
     def test_fault_matrix_shape(self):
-        cells = fault_matrix()
-        assert len(cells) == len(FAULT_CONTROLLERS) * len(FAULT_SCENARIOS)
-        assert {c.workload_family for c in cells} == {"chain"}
-        # Fault keys never collide with the base matrix.
-        base_keys = {c.key for c in scenario_matrix()}
-        assert not base_keys & {c.key for c in cells}
-
-    def test_fault_matrix_filtering_and_rejection(self):
-        cells = fault_matrix(controllers=["surgeguard"], scenarios=["loss-burst"])
-        assert [c.key for c in cells] == ["chain/surgeguard/loss-burst"]
-        with pytest.raises(KeyError):
-            fault_matrix(controllers=["caladan"])
-        with pytest.raises(KeyError):
-            fault_matrix(scenarios=["steady"])
+        assert {c.workload_family for c in matrix("faults")} == {"chain"}
+        # No other family carries faults.
+        others = [c for f in FAMILIES if f != "faults" for c in matrix(f)]
+        assert all(c.config.faults is None for c in others)
 
     def test_fault_cells_carry_plans_with_rpc(self):
-        for cell in fault_matrix():
+        for cell in matrix("faults"):
             plan = cell.config.faults
             assert plan is not None and not plan.empty, cell.key
             assert plan.rpc is not None, cell.key
@@ -80,49 +77,18 @@ class TestMatrixConstruction:
                 assert plan.crashes and not plan.loss_windows and not plan.stalls
             else:
                 assert plan.stalls and not plan.loss_windows and not plan.crashes
-        # Base cells never carry faults.
-        assert all(c.config.faults is None for c in scenario_matrix())
 
     def test_horizontal_matrix_shape(self):
-        cells = horizontal_matrix()
-        assert len(cells) == (
-            len(WORKLOADS) * len(HORIZONTAL_CONTROLLERS) * len(HORIZONTAL_SCENARIOS)
-        )
-        # Horizontal keys never collide with the base or fault families.
-        other = {c.key for c in scenario_matrix() + fault_matrix()}
-        assert not other & {c.key for c in cells}
-        for cell in cells:
+        for cell in matrix("horizontal"):
             cfg = cell.config
             assert cfg.replicas == 1, cell.key
             assert cfg.replica_capacity is not None and cfg.replica_capacity > 1
             assert cfg.lb_policy == "round_robin"
-            assert cfg.faults is None
             assert cfg.spike_magnitude is not None  # surge-shaped traffic
 
-    def test_horizontal_matrix_filtering_and_rejection(self):
-        cells = horizontal_matrix(workloads=["chain"], controllers=["hybrid"])
-        assert [c.key for c in cells] == ["chain/hybrid/replica-surge"]
-        with pytest.raises(KeyError):
-            horizontal_matrix(controllers=["surgeguard"])
-        with pytest.raises(KeyError):
-            horizontal_matrix(scenarios=["steady"])
-        with pytest.raises(KeyError):
-            horizontal_matrix(workloads=["nope"])
-
     def test_zoo_matrix_shape(self):
-        cells = zoo_matrix()
-        assert len(cells) == (
-            len(WORKLOADS) * len(ZOO_CONTROLLERS) * len(ZOO_SCENARIOS)
-        )
-        # Zoo keys never collide with the other families.
-        other = {
-            c.key
-            for c in scenario_matrix() + fault_matrix() + horizontal_matrix()
-        }
-        assert not other & {c.key for c in cells}
-        for cell in cells:
+        for cell in matrix("zoo"):
             cfg = cell.config
-            assert cfg.faults is None, cell.key
             if cell.scenario == "steady":
                 assert cfg.spike_magnitude is None, cell.key
             else:
@@ -133,60 +99,32 @@ class TestMatrixConstruction:
             else:
                 assert cfg.replicas == 1, cell.key
 
-    def test_zoo_matrix_filtering_and_rejection(self):
-        cells = zoo_matrix(workloads=["chain"], controllers=["statuscale"])
-        assert [c.key for c in cells] == [
-            "chain/statuscale/steady",
-            "chain/statuscale/spike",
-            "chain/statuscale/replica-surge",
-        ]
-        with pytest.raises(KeyError):
-            zoo_matrix(controllers=["surgeguard"])
-        with pytest.raises(KeyError):
-            zoo_matrix(scenarios=["rate-spike"])
-        with pytest.raises(KeyError):
-            zoo_matrix(workloads=["nope"])
-
     def test_multinode_matrix_shape(self):
-        cells = multinode_matrix()
-        assert len(cells) == (
-            len(WORKLOADS) * len(MULTINODE_CONTROLLERS) * len(MULTINODE_SCENARIOS)
-        )
-        # Multinode keys never collide with the other families.
-        other = {
-            c.key
-            for c in scenario_matrix()
-            + fault_matrix()
-            + horizontal_matrix()
-            + zoo_matrix()
-        }
-        assert not other & {c.key for c in cells}
-        for cell in cells:
+        for cell in matrix("multinode"):
             cfg = cell.config
             # jitter=0 is what the committed fingerprints were recorded at.
             assert cfg.network is not None and cfg.network.jitter == 0.0, cell.key
             assert cfg.n_nodes == 4, cell.key
-            assert cfg.faults is None and cfg.replicas == 1, cell.key
+            assert cfg.replicas == 1, cell.key
             if cell.scenario == "multinode-steady":
                 assert cfg.spike_magnitude is None, cell.key
             else:
                 assert cfg.spike_magnitude is not None, cell.key
 
-    def test_multinode_matrix_filtering_and_rejection(self):
-        cells = multinode_matrix(workloads=["chain"], controllers=["surgeguard"])
-        assert [c.key for c in cells] == [
-            "chain/surgeguard/multinode-steady",
-            "chain/surgeguard/multinode-spike",
-        ]
-        with pytest.raises(KeyError):
-            multinode_matrix(controllers=["statuscale"])
-        with pytest.raises(KeyError):
-            multinode_matrix(scenarios=["steady"])
-        with pytest.raises(KeyError):
-            multinode_matrix(workloads=["nope"])
+    def test_standard_matrix_shape(self):
+        cells = matrix("standard")
+        assert len(cells) == 18
+        for cell in cells:
+            cfg = cell.config
+            assert cell.controller == "surgeguard", cell.key
+            assert cfg.seed == int(cell.scenario[-1]), cell.key
+            assert cfg.n_nodes == (2 if "-2nodes-" in cell.scenario else 1), cell.key
+            assert cfg.spike_magnitude == 1.75 and cfg.drain == 0.5, cell.key
+        assert {c.config.seed for c in cells} == {3, 4, 5}
+        assert {c.config.n_nodes for c in cells} == {1, 2}
 
     def test_scenario_shapes(self):
-        by_key = {c.key: c for c in scenario_matrix(workloads=["chain"])}
+        by_key = {c.key: c for c in matrix("base", workloads=["chain"])}
         steady = by_key["chain/null/steady"].config
         spike = by_key["chain/null/rate-spike"].config
         surge = by_key["chain/null/latency-surge"].config
@@ -200,19 +138,11 @@ class TestMatrixConstruction:
 
 class TestGoldenFile:
     def test_goldens_cover_the_full_matrix(self):
-        goldens = load_goldens()
-        assert set(goldens) == {
-            c.key
-            for c in scenario_matrix()
-            + fault_matrix()
-            + horizontal_matrix()
-            + zoo_matrix()
-            + multinode_matrix()
-        }
+        assert set(load_goldens()) == _keys(*FAMILIES)
 
     def test_fault_goldens_record_fault_activity(self):
         goldens = load_goldens()
-        for cell in fault_matrix():
+        for cell in matrix("faults"):
             fp = goldens[cell.key]
             stats = fp["fault_stats"]
             if cell.scenario == "loss-burst":
@@ -222,30 +152,28 @@ class TestGoldenFile:
             elif cell.controller != "null":
                 # Stall cells: null has no decision loop to suppress.
                 assert stats["stalled_cycles"] > 0, cell.key
-        # Base cells must NOT have grown fault keys (golden stability).
-        for cell in scenario_matrix():
-            assert "fault_stats" not in goldens[cell.key], cell.key
-            assert "errors" not in goldens[cell.key], cell.key
+        # Fault-free cells must NOT have grown fault keys (golden stability).
+        for key in _keys(*FAMILIES) - _keys("faults"):
+            assert "fault_stats" not in goldens[key], key
+            assert "errors" not in goldens[key], key
 
     def test_horizontal_goldens_record_replica_scaling(self):
         goldens = load_goldens()
-        for cell in horizontal_matrix():
+        for cell in matrix("horizontal"):
             fp = goldens[cell.key]
             # The autoscaler actually launched replicas inside the cell
             # (otherwise the family pins nothing about the LB tier)...
             assert fp["controller_actions"]["upscale_core"] > 0, cell.key
             # ...and the launched replicas appear as live endpoints.
             assert any("@" in name for name in fp["final_alloc"]), cell.key
-            assert "fault_stats" not in fp, cell.key
 
     def test_zoo_goldens_record_controller_activity(self):
         goldens = load_goldens()
-        for cell in zoo_matrix():
-            fp = goldens[cell.key]
-            assert "fault_stats" not in fp, cell.key
+        for cell in matrix("zoo"):
             if cell.scenario != "steady":
                 # Both plugins act on surge-shaped traffic in-cell —
                 # otherwise the family pins nothing about the plugins.
+                fp = goldens[cell.key]
                 assert fp["controller_actions"]["upscale_core"] > 0, cell.key
 
     def test_goldens_report_zero_paper_invariant_breaks(self):
@@ -259,6 +187,7 @@ class TestGoldenFile:
             assert fp["packets_delivered"] <= fp["packets_sent"], key
             assert fp["violation_volume"] >= 0.0, key
             assert fp["violation_duration"] >= 0.0, key
+            assert 0.0 < fp["p98"] <= fp["p99"], key
             assert all(v > 0 for v in fp["final_alloc"].values()), key
 
     def test_golden_file_is_sorted_and_round_trips(self):
@@ -273,9 +202,7 @@ class TestGoldenFile:
 class TestMatrixTier1Cell:
     def test_one_cell_matches_golden(self):
         """Cheapest cell in tier-1: catches drift on every PR."""
-        cells = scenario_matrix(
-            workloads=["chain"], controllers=["null"], scenarios=["steady"]
-        )
+        cells = matrix("base", workloads=["chain"], controllers=["null"], scenarios=["steady"])
         report = run_matrix(cells, verbose=False)
         assert report.ok, [
             (c.scenario.key, c.violations, c.diffs) for c in report.outcomes
@@ -284,54 +211,9 @@ class TestMatrixTier1Cell:
 
 
 @pytest.mark.matrix
-class TestMatrixSlices:
-    """Full-controller slices; ``python -m repro.validate`` covers the rest."""
-
-    @pytest.mark.parametrize("family", sorted(WORKLOADS))
-    def test_family_slice(self, family):
-        report = run_matrix(scenario_matrix(workloads=[family]), verbose=False)
-        failing = [
-            (c.scenario.key, c.violations, c.diffs, c.golden_missing)
-            for c in report.outcomes
-            if not c.ok
-        ]
-        assert report.ok, failing
-        assert report.total_violations == 0
-
-    def test_horizontal_slice(self):
-        report = run_matrix(horizontal_matrix(), verbose=False)
-        failing = [
-            (c.scenario.key, c.violations, c.diffs, c.golden_missing)
-            for c in report.outcomes
-            if not c.ok
-        ]
-        assert report.ok, failing
-        assert report.total_violations == 0
-
-    def test_zoo_slice(self):
-        report = run_matrix(zoo_matrix(), verbose=False)
-        failing = [
-            (c.scenario.key, c.violations, c.diffs, c.golden_missing)
-            for c in report.outcomes
-            if not c.ok
-        ]
-        assert report.ok, failing
-        assert report.total_violations == 0
-
-    def test_fault_slice(self):
-        report = run_matrix(fault_matrix(), verbose=False)
-        failing = [
-            (c.scenario.key, c.violations, c.diffs, c.golden_missing)
-            for c in report.outcomes
-            if not c.ok
-        ]
-        assert report.ok, failing
-        assert report.total_violations == 0
-
+class TestGoldenUpdate:
     def test_update_golden_writes_filtered_set(self, tmp_path):
-        cells = scenario_matrix(
-            workloads=["chain"], controllers=["null"], scenarios=["steady"]
-        )
+        cells = matrix("base", workloads=["chain"], controllers=["null"], scenarios=["steady"])
         out = tmp_path / "goldens.json"
         report = run_matrix(cells, update_golden=True, golden_file=out, verbose=False)
         assert report.updated_golden

@@ -18,28 +18,12 @@ import time
 
 import pytest
 
-from repro.experiments.harness import (
-    ExperimentConfig,
-    clear_profile_cache,
-    run_experiment,
-)
-from repro.exec.specs import spec
+from repro.experiments.harness import clear_profile_cache, run_experiment
 from repro.validate.monitors import MonitorSet
+from repro.validate.scenarios import matrix
 
-#: The "standard cell": the same shape the golden fastlane tests run.
-_CFG = ExperimentConfig(
-    workload="chain",
-    controller_factory=spec("surgeguard"),
-    spike_magnitude=1.75,
-    spike_len=0.5,
-    spike_period=2.0,
-    spike_offset=0.25,
-    duration=2.0,
-    warmup=1.0,
-    profile_duration=1.0,
-    drain=0.5,
-    seed=3,
-)
+#: The seed-3 chain cell of the ``standard`` family.
+_CFG = matrix("standard", workloads=["chain"], scenarios=["standard-s3"])[0].config
 
 _REPS = 5
 
