@@ -26,8 +26,13 @@ cancelled and re-issued — unless the winning job and shared rate are
 both unchanged, in which case the pending event is provably still exact
 and is kept (the common case for arrivals under ``c ≥ n`` and for pure
 accounting syncs).  All jobs progress at the same rate, so the next
-finisher is simply the job with minimal remaining work — an O(n) scan,
-with n rarely above a few dozen.
+finisher is simply the job with minimal remaining work.  Each update is
+one fused O(n) pass over the jobs in jid order: it charges every job the
+cycles burned since the last update, collects the finished ones and
+picks the winner, with n rarely above a few dozen.  The per-job
+subtraction is kept on purpose (rather than a virtual clock) so every
+job sees the same sequence of float operations and completion times
+stay bit-identical to the pinned goldens.
 
 Energy bookkeeping (allocated core-seconds, busy core-seconds, and the
 f³-weighted busy integral consumed by :class:`repro.cluster.energy.EnergyModel`)
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.cluster.frequency import DvfsModel
@@ -107,6 +112,9 @@ class Container:
         self._jobs: Dict[int, _Job] = {}
         self._jid = itertools.count()
         self._last_t = sim.now
+        #: Cycles every job has burned since ``_last_t`` moved, charged by
+        #: the next :meth:`_reschedule` pass (see :meth:`_advance`).
+        self._burned = 0.0
         self._next: Optional[EventHandle] = None
         #: A reaped replica's container stops accruing alloc/freq
         #: integrals (its cores are returned to the node) until revived.
@@ -206,6 +214,7 @@ class Container:
         self._advance()
         killed = len(self._jobs)
         self._jobs.clear()
+        self._burned = 0.0
         if self._next is not None:
             self._next.cancel()
             self._next = None
@@ -250,8 +259,7 @@ class Container:
             raise ValueError(f"negative work: {work_cycles!r}")
         self._advance()
         jid = next(self._jid)
-        self._jobs[jid] = _Job(jid, max(work_cycles, 0.0), done)
-        self._reschedule()
+        self._reschedule(_Job(jid, max(work_cycles, 0.0), done))
         return jid
 
     def sync(self) -> None:
@@ -264,7 +272,12 @@ class Container:
 
     # ------------------------------------------------------------ internals
     def _advance(self) -> None:
-        """Integrate progress and accounting from ``_last_t`` to now."""
+        """Integrate accounting from ``_last_t`` to now.
+
+        Job progress is only computed here: the cycles each job burned
+        are stored in ``_burned`` and charged by the :meth:`_reschedule`
+        pass that always follows, so the jobs are walked once per update.
+        """
         now = self.sim.now
         dt = now - self._last_t
         if dt < 0:  # pragma: no cover - engine guarantees monotonic time
@@ -282,12 +295,17 @@ class Container:
         self.busy_weighted_seconds += (
             busy * (self._freq / self.dvfs.f_max) ** 3 * dt
         )
-        burned = self._freq * self._speed_factor * min(1.0, self._cores / n) * dt
-        for job in self._jobs.values():
-            job.remaining -= burned
+        self._burned = self._freq * self._speed_factor * min(1.0, self._cores / n) * dt
 
-    def _reschedule(self) -> None:
-        """(Re-)issue the next-completion event after any state change.
+    def _reschedule(self, new: Optional[_Job] = None) -> None:
+        """Charge burned cycles, fire due completions, and (re-)issue the
+        next-completion event after any state change.
+
+        One pass over the jobs in jid order subtracts ``_burned`` from
+        each, collects those within ``_EPS_CYCLES`` of done, and picks the
+        first job with the least remaining work among the rest.  A newly
+        submitted job ``new`` owes nothing for the elapsed interval and has
+        the largest jid, so it joins after the pass.
 
         Cheap path: when a pending event exists and neither the winning
         job nor the shared progress rate changed (e.g. a new arrival with
@@ -297,13 +315,31 @@ class Container:
         otherwise dominates heap churn under load.
         """
         jobs = self._jobs
-        # Fire completions that are already due (within epsilon).
-        finished: List[_Job] = [
-            j for j in jobs.values() if j.remaining <= _EPS_CYCLES
-        ]
+        burned = self._burned
+        self._burned = 0.0
+        finished = []
+        winner = None
+        min_rem = math.inf
+        for j in jobs.values():
+            rem = j.remaining - burned
+            j.remaining = rem
+            if rem <= _EPS_CYCLES:
+                finished.append(j)
+            elif rem < min_rem:
+                min_rem = rem
+                winner = j
+        if new is not None:
+            rem = new.remaining
+            if rem <= _EPS_CYCLES:
+                finished.append(new)
+            else:
+                jobs[new.jid] = new
+                if rem < min_rem:
+                    min_rem = rem
+                    winner = new
         if finished:
             for j in finished:
-                del jobs[j.jid]
+                jobs.pop(j.jid, None)  # a finished ``new`` was never added
             self.completed_jobs += len(finished)
             # Callbacks may re-enter submit()/set_cores(); schedule the
             # continuation work as zero-delay events to keep a single,
@@ -316,12 +352,6 @@ class Container:
                 pending.cancel()
                 self._next = None
             return
-        winner = None
-        min_rem = math.inf
-        for j in jobs.values():
-            if j.remaining < min_rem:
-                min_rem = j.remaining
-                winner = j
         rate = self.rate_per_job
         if rate <= 0:  # pragma: no cover - cores/freq are validated positive
             if pending is not None:

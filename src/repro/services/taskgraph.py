@@ -50,6 +50,14 @@ class WorkDist:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if self.cv < 0:
             raise ValueError("cv must be non-negative")
+        if self.dist == "lognormal" and self.mean_cycles != 0.0:
+            # Lognormal parameterized by mean and cv.  ``(mu, sigma)`` are
+            # derived once here, not per draw; they are plain attributes,
+            # not dataclass fields, so equality and repr are unchanged.
+            cv = max(self.cv, 1e-9)
+            sigma2 = np.log1p(cv * cv)
+            object.__setattr__(self, "_mu", np.log(self.mean_cycles) - 0.5 * sigma2)
+            object.__setattr__(self, "_sigma", np.sqrt(sigma2))
 
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one request's work in cycles."""
@@ -58,11 +66,7 @@ class WorkDist:
             return m
         if self.dist == "exponential":
             return float(rng.exponential(m))
-        # lognormal parameterized by mean and cv
-        cv = max(self.cv, 1e-9)
-        sigma2 = np.log1p(cv * cv)
-        mu = np.log(m) - 0.5 * sigma2
-        return float(rng.lognormal(mu, np.sqrt(sigma2)))
+        return float(rng.lognormal(self._mu, self._sigma))
 
     @property
     def mean_seconds_at(self) -> "WorkDist":  # pragma: no cover - doc helper

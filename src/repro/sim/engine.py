@@ -24,13 +24,19 @@ Design notes
   handle someone kept (say, for a later ``cancel()``) is never recycled,
   which makes stale-handle corruption impossible by construction rather
   than by convention.
+* The heap holds ``(time, seq, handle)`` tuples, so ``heapq`` orders
+  entries with C-level float/int comparisons and never calls back into
+  Python; ``seq`` is unique, so a comparison never reaches the handle.
+  The refcount proof is unaffected: every pop discards its tuple before
+  the ``getrefcount == 2`` check, so the check still sees only the
+  loop's local and the call's argument.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 __all__ = ["EventHandle", "Simulator", "SimulationError"]
@@ -79,9 +85,6 @@ class EventHandle:
         """True while the event is scheduled and not yet fired or cancelled."""
         return not self.cancelled and self.fn is not None
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "active"
         return f"<EventHandle t={self.time:.9f} seq={self.seq} {state}>"
@@ -124,7 +127,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[EventHandle] = []
+        #: ``(time, seq, handle)`` entries; see the module notes.
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._running = False
         self._fired_count = 0
@@ -194,10 +198,10 @@ class Simulator:
         getrefcount = sys.getrefcount
         heap = self._heap
         while heap:
-            head = heap[0]
+            time, _, head = heap[0]
             if head.fn is not None:
-                return head.time
-            heapq.heappop(heap)
+                return time
+            heappop(heap)
             if head.cancelled:
                 self._cancelled_pending -= 1
                 if free is not None and getrefcount(head) == 2:
@@ -210,10 +214,30 @@ class Simulator:
 
         ``delay`` must be finite and non-negative.  Returns a cancellable
         :class:`EventHandle`.
+
+        Nearly every event comes through here, so the push is written out
+        rather than delegated to :meth:`schedule_at`.
         """
-        if delay < 0.0 or not math.isfinite(delay):
+        time = self._now + delay
+        if delay < 0.0 or not math.isfinite(time):
             raise SimulationError(f"invalid event delay {delay!r}")
-        return self.schedule_at(self._now + delay, fn, *args)
+        seq = self._seq
+        free = self._free
+        if free:
+            handle = free.pop()
+            handle.time = time
+            handle.seq = seq
+            handle.fn = fn
+            handle.args = args
+            handle.cancelled = False
+            handle.owner = self
+            self._handles_recycled += 1
+        else:
+            handle = EventHandle(time, seq, fn, args)
+            handle.owner = self
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, handle))
+        return handle
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
@@ -221,21 +245,22 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r} (now={self._now!r})"
             )
+        seq = self._seq
         free = self._free
         if free:
             handle = free.pop()
             handle.time = time
-            handle.seq = self._seq
+            handle.seq = seq
             handle.fn = fn
             handle.args = args
             handle.cancelled = False
             handle.owner = self
             self._handles_recycled += 1
         else:
-            handle = EventHandle(time, self._seq, fn, args)
+            handle = EventHandle(time, seq, fn, args)
             handle.owner = self
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, handle))
         return handle
 
     def _note_cancel(self) -> None:
@@ -252,8 +277,8 @@ class Simulator:
         heap = self._heap
         if self._cancelled_pending * 2 > len(heap):
             # In-place so loops holding a reference to the list stay valid.
-            heap[:] = [h for h in heap if h.fn is not None]
-            heapq.heapify(heap)
+            heap[:] = [e for e in heap if e[2].fn is not None]
+            heapify(heap)
             self._cancelled_pending = 0
 
     # ---------------------------------------------------------------- running
@@ -263,14 +288,14 @@ class Simulator:
         getrefcount = sys.getrefcount
         heap = self._heap
         while heap:
-            handle = heapq.heappop(heap)
+            time, _, handle = heappop(heap)
             if handle.fn is None:  # fired is impossible here; this means cancelled
                 if handle.cancelled:
                     self._cancelled_pending -= 1
                     if free is not None and getrefcount(handle) == 2:
                         free.append(handle)
                 continue
-            self._now = handle.time
+            self._now = time
             fn, args = handle.fn, handle.args
             handle.fn = None  # mark fired
             # Cleared unconditionally, not only on the recycle path: a
@@ -303,12 +328,11 @@ class Simulator:
         self._running = True
         budget = math.inf if max_events is None else max_events
         heap = self._heap
-        heappop = heapq.heappop
         free = self._free
         getrefcount = sys.getrefcount
         try:
             while heap and budget > 0:
-                head = heap[0]
+                time, _, head = heap[0]
                 if head.fn is None:  # lazily-cancelled entry: drop and rescan
                     heappop(heap)
                     if head.cancelled:
@@ -319,10 +343,10 @@ class Simulator:
                         if free is not None and getrefcount(head) == 2:
                             free.append(head)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     break
                 heappop(heap)
-                self._now = head.time
+                self._now = time
                 fn, args = head.fn, head.args
                 head.fn = None  # mark fired
                 head.args = ()  # unconditional: see step()
@@ -347,7 +371,7 @@ class Simulator:
         ``active == False`` and a later ``cancel()`` on it is a no-op
         instead of counting an entry that is no longer in the heap.
         """
-        for handle in self._heap:
+        for _, _, handle in self._heap:
             handle.fn = None
             handle.args = ()
             handle.owner = None

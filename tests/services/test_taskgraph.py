@@ -35,6 +35,41 @@ class TestWorkDist:
             d = WorkDist(500.0, dist)
             assert all(d.sample(rng) >= 0 for _ in range(100))
 
+    @pytest.mark.parametrize(
+        "d",
+        [
+            WorkDist(1.6e6, "deterministic"),
+            WorkDist(7.5e5, "exponential"),
+            WorkDist(3.3e5, "lognormal", cv=0.25),
+            WorkDist(2.0e6, "lognormal", cv=1.7),
+            WorkDist(1.2e6, "lognormal", cv=0.0),  # hits the 1e-9 cv floor
+            WorkDist(0.0, "lognormal"),
+        ],
+        ids=["deterministic", "exponential", "lognormal", "lognormal-wide",
+             "lognormal-cv0", "zero"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7, 90210])
+    def test_draws_bitwise_equal_inline_formula(self, d, seed):
+        """Precomputing the lognormal parameters must not move one bit of
+        any draw, nor the number of draws taken from the stream."""
+
+        def inline(rng):
+            m = d.mean_cycles
+            if m == 0.0 or d.dist == "deterministic":
+                return m
+            if d.dist == "exponential":
+                return float(rng.exponential(m))
+            cv = max(d.cv, 1e-9)
+            sigma2 = np.log1p(cv * cv)
+            mu = np.log(m) - 0.5 * sigma2
+            return float(rng.lognormal(mu, np.sqrt(sigma2)))
+
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = np.array([d.sample(got_rng) for _ in range(300)])
+        want = np.array([inline(want_rng) for _ in range(300)])
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_mean_time(self):
         assert WorkDist(1.6e6).mean_time(1.6e9) == pytest.approx(1e-3)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import EventHandle, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -22,6 +22,27 @@ class TestScheduling:
             sim.schedule(1.0, fired.append, i)
         sim.run()
         assert fired == list(range(10))
+
+    @pytest.mark.parametrize("via", ["schedule", "schedule_at"])
+    def test_many_same_time_events_fire_in_seq_order(self, sim, via):
+        # Heap entries tie on time and are ordered by seq alone.  The
+        # second round reuses recycled handles, whose free-list order
+        # differs from their new seq order.
+        push = getattr(sim, via)
+        for rnd in range(2):
+            fired = []
+            t = 0.0 if via == "schedule" else sim.now + 1.0
+            for i in range(1000):
+                push(t, fired.append, i)
+            sim.run()
+            assert fired == list(range(1000)), rnd
+        assert sim.handles_recycled > 0
+
+    def test_heap_never_compares_handles(self):
+        # Entries are (time, seq, handle) tuples and seq is unique, so
+        # handles need no ordering; an object comparison would be a
+        # Python-level call per heap sift.
+        assert "__lt__" not in vars(EventHandle)
 
     def test_clock_advances_to_event_time(self, sim):
         seen = []
